@@ -1,13 +1,15 @@
 """Reduction phase of TAG-join, executed as dataflow supersteps.
 
-Per Lemma 5.1, driving Algorithm 2 with the GenSteps label list makes each
-superstep compute either a duplicate-eliminating projection (tuple→attribute
-step: the newly-activated attribute vertices *are* the projected column) or
-a semijoin (attribute→tuple step: the activated tuple vertices are exactly
-``T ⋉ active``). This module materialises that exact superstep sequence over
-the TAG edge tables — one Catalyst operation per superstep — for the
-bottom-up (UP) pass over the label list and the top-down (DOWN) pass over
-its reverse.
+Per Lemma 5.1, driving Algorithm 2 with the GenSteps label list makes the
+supersteps alternate between a duplicate-eliminating projection
+(tuple→attribute step: the newly-activated attribute vertices *are* the
+projected column) and a semijoin (attribute→tuple step: the activated tuple
+vertices are exactly ``T ⋉ active``). GenSteps lists therefore have even
+length, and each (projection, semijoin) pair of labels ``(R.A, T.B)``
+computes one semijoin ``T ⋉_{B=A} π_A(R)``. This module runs each pair as
+one Catalyst plan over the TAG edge tables, ending in one eager
+``localCheckpoint`` barrier, for the bottom-up (UP) pass over the label list
+and the top-down (DOWN) pass over its reverse.
 
 Reduction is *eager* (as the paper notes its vertex program is, vs classical
 Yannakakis): every semijoin intersects into a per-relation reduced tid set,
@@ -18,15 +20,20 @@ Pushed-down selections (§7) seed the reduced tid sets: attribute vertices
 failing a single-attribute predicate "deactivate themselves" before the
 traversal begins.
 
-When ``stats`` is on, the per-superstep message count is recorded: for a
-projection step it is ``|edges(label) ⋉ active_tuples|`` (each active tuple
-vertex sends one message per label-edge), for a semijoin step it is
-``|edges(label) ⋉ active_values|`` (each active attribute vertex messages
-every label-edge target) — exactly Algorithm 2's communication.
+When ``stats`` is on, the ledger still records two supersteps per pair,
+with Algorithm 2's message counts. The projection sends one message per
+label-edge of an active tuple vertex, ``|edges(R.A) ⋈ active_tuples|``; the
+semijoin sends one message per label-edge of an active attribute vertex,
+``|edges(T.B) ⋈ active_values|``. Both are counted on the left-semi frames
+of the plan: an edge table has at most one row per tuple (NULLs get no
+edge) and the active tid sets are duplicate-free, so ``e ⋉ active`` has
+exactly as many rows as ``e ⋈ active``; on the value side ``⋉`` ignores
+duplicate values, as distinct active attribute vertices would. Where the
+checkpointed tid set is the semijoin's message frame itself (everywhere but
+an UP-pass intersection with a prior reduced set), it is counted instead.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -99,63 +106,49 @@ def reduce_phase(
             reduced[alias] = r
         return r
 
+    def edge(alias: str, col: str) -> DataFrame:
+        return graph.edge(by_alias[alias].relation, col)
+
     if not steps:  # single-relation query: no traversal needed
         return {a: tids(a) for a in reduced}
 
     active = tids(start_alias(steps))
-    active_is_tuples = True
     superstep = 0
-    for phase, labels in (("up", steps), ("down", list(reversed(steps)))):
-        for alias, col in labels:
-            superstep += 1
-            e = graph.edge(by_alias[alias].relation, col)
-            if active_is_tuples:
-                # Projection: active tuple vertices of `alias` message their
-                # attribute vertices → new active set is π_col(reduced).
-                msgs = e.join(active, on=TID)
-                new_active = msgs.select(VAL).distinct()
-            else:
-                # Semijoin: active attribute vertices message `alias`-tuples
-                # via `alias.col` edges → alias ⋉ active, intersected with
-                # the accumulated reduction. In the DOWN pass messages only
-                # travel via edges marked by the UP pass (Alg. 2 line 17),
-                # which is exactly the restriction to the prior reduced set.
-                msgs = e.join(active, on=VAL)
-                prior = reduced[alias]
-                if phase == "down" and prior is not None:
-                    msgs = msgs.join(prior, on=TID)
-                t = msgs.select(TID).distinct()
-                if phase != "down" and prior is not None:
-                    t = t.join(prior, on=TID)
-                reduced[alias] = t
-                new_active = t
-            # Superstep barrier: the BSP model materialises every message
-            # round; localCheckpoint truncates lineage so each superstep is
-            # one unit of work over the cached edge tables rather than a
-            # re-execution of the whole history. Setting REPRO_TAG_FUSED=1
-            # elides the physical barrier and lets Catalyst fuse the whole
-            # superstep sequence into one DAG — the logical supersteps are
-            # unchanged (Lemma 5.1's operation sequence), only the barrier
-            # cost is removed; used to isolate barrier overhead in the
-            # benchmarks (see EXPERIMENTS.md).
-            if stats is None and os.environ.get("REPRO_TAG_FUSED"):
-                pass
-            else:
-                new_active = new_active.localCheckpoint(eager=stats is not None)
-            if not active_is_tuples:
-                reduced[alias] = new_active
+    for phase, labels in (("up", steps), ("down", steps[::-1])):
+        for (p_alias, p_col), (alias, col) in zip(labels[::2], labels[1::2]):
+            # Projection: the active `p_alias` tuple vertices message their
+            # `p_col` attribute vertices (VAL carries π_{p_col}).
+            vals = edge(p_alias, p_col).join(active, TID, "left_semi")
+            # Semijoin: those attribute vertices message `alias`-tuples via
+            # `alias.col` edges → alias ⋉ vals, intersected with the
+            # accumulated reduction. In the DOWN pass messages only travel
+            # via edges marked by the UP pass (Alg. 2 line 17), which is
+            # exactly the restriction to the prior reduced set.
+            msgs = edge(alias, col).join(vals.select(VAL), VAL, "left_semi")
+            prior = reduced[alias]
+            if phase == "down" and prior is not None:
+                msgs = msgs.join(prior, TID, "left_semi")
+            msgs = msgs.select(TID)
+            intersect = phase == "up" and prior is not None
+            t = msgs.join(prior, TID, "left_semi") if intersect else msgs
+            # Pair barrier: one eager localCheckpoint materialises the new
+            # reduced set and truncates lineage, so each pair is one plan
+            # over the cached edge tables rather than a re-execution of the
+            # whole history. The projection needs no barrier of its own:
+            # with the semijoin it forms one Lemma 5.1 semijoin. (A lazy
+            # checkpoint still runs jobs under AQE, and costs more.)
+            active = reduced[alias] = t.localCheckpoint(eager=True)
             if stats is not None:
-                stats.traces.append(
-                    StepTrace(
-                        phase=phase,
-                        superstep=superstep,
-                        label=f"{alias}.{col}",
-                        kind="project" if active_is_tuples else "semijoin",
-                        messages=msgs.count(),
-                    )
-                )
-            active = new_active
-            active_is_tuples = not active_is_tuples
+                # Unless the UP pass intersected, the barrier holds exactly
+                # the semijoin's messages: count it rather than re-run msgs.
+                sent = msgs if intersect else active
+                stats.traces += [
+                    StepTrace(phase, superstep + 1, f"{p_alias}.{p_col}",
+                              "project", vals.count()),
+                    StepTrace(phase, superstep + 2, f"{alias}.{col}",
+                              "semijoin", sent.count()),
+                ]
+            superstep += 2
 
     out = {a: tids(a) for a in reduced}
     if stats is not None:

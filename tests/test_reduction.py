@@ -4,7 +4,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.core.plan import build_plan, gensteps
+from repro.core.plan import build_plan, gensteps, start_alias
 from repro.core.reduction import RunStats, reduce_phase
 from repro.core.spec import Node
 from repro.core.tag import TAGGraph, TID
@@ -198,3 +198,153 @@ class TestTwoWayBounds:
         semijoin_msgs = [t.messages for t in stats.traces if t.kind == "semijoin"]
         assert semijoin_msgs[0] <= min(len(R) + len(S), out_size)
         assert reduced["R"].count() == out_size
+
+
+def _checkpoint_spy(monkeypatch, frame_cls):
+    """Record the ``eager`` argument of every ``localCheckpoint`` call."""
+    real = frame_cls.localCheckpoint
+    calls: list[bool] = []
+
+    def spy(self, eager=True, *args, **kwargs):
+        calls.append(eager)
+        return real(self, eager, *args, **kwargs)
+
+    monkeypatch.setattr(frame_cls, "localCheckpoint", spy)
+    return calls
+
+
+class TestBarriers:
+    @pytest.mark.parametrize("metered", [False, True])
+    def test_one_eager_barrier_per_pair(self, chain_instance, monkeypatch,
+                                        metered):
+        """Each (projection, semijoin) pair ends in one eager checkpoint:
+        ``len(steps) / 2`` per pass, ``len(steps)`` over UP+DOWN."""
+        graph, spec, _ = chain_instance
+        steps = gensteps(build_plan(spec))
+        calls = _checkpoint_spy(monkeypatch, type(graph.tuples["R"]))
+        stats = RunStats() if metered else None
+        reduce_phase(graph, list(spec.walk()), steps, stats)
+        assert calls == [True] * len(steps)
+
+
+# Adversarial instance: NULL join keys, heavily duplicated values and an
+# aliased self-join of E (E1.dst = E2.src). E.dst is not encoded, so its
+# edge table is derived lazily by ``TAGGraph.edge``.
+_ADV_ROWS = {
+    "R": ("ra long, rb long", [
+        (0, 1), (1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, None),
+        (7, None), (8, 3), (9, 5), (10, 1), (11, None),
+    ]),
+    "E": ("src long, dst long", [
+        (1, 10), (1, 10), (1, 11), (2, 10), (None, 10), (3, None),
+        (4, 12), (10, 100), (10, 100), (11, None), (12, 100), (None, None),
+    ]),
+    "S": ("sa long, sx long", [
+        (1, 0), (1, 1), (1, 2), (2, 0), (4, None), (None, 0), (8, 3),
+    ]),
+    "Z": ("zk long", [(999,), (None,)]),
+}
+
+
+def _adversarial_spec(empty_branch: bool) -> Node:
+    e2 = Node(relation="E", alias="E2", parent_join=("dst", "src"))
+    if empty_branch:  # no E2.dst value occurs in Z: the join is empty
+        e2.children.append(Node(relation="Z", parent_join=("dst", "zk")))
+    return Node(
+        relation="R",
+        filter="ra >= 1",
+        children=[
+            Node(relation="E", alias="E1", parent_join=("rb", "src"),
+                 children=[e2]),
+            Node(relation="S", parent_join=("ra", "sa")),
+        ],
+    )
+
+
+def _pandas_full_reducer(tuples: dict[str, pd.DataFrame], root: Node):
+    """Per-alias tids that take part in the full join (NULLs never join)."""
+
+    def frame(node: Node) -> pd.DataFrame:
+        df = tuples[node.relation]
+        if node.filter:
+            df = df.query(node.filter)
+        df = df.add_prefix(f"{node.name}.")
+        for c in node.children:
+            left = f"{node.name}.{c.parent_join[0]}"
+            right = f"{c.name}.{c.parent_join[1]}"
+            df = df.dropna(subset=[left]).merge(
+                frame(c).dropna(subset=[right]), left_on=left, right_on=right
+            )
+        return df
+
+    full = frame(root)
+    return {n.name: set(full[f"{n.name}.{TID}"]) for n in root.walk()}
+
+
+def _pandas_ledger(tuples: dict[str, pd.DataFrame], root: Node, steps):
+    """Algorithm 2's message count per UP+DOWN superstep, replayed in pandas:
+    a projection sends one message per non-NULL edge of an active tuple, a
+    semijoin one per edge reaching a tuple (a marked one, in DOWN)."""
+    by_alias = {n.name: n for n in root.walk()}
+    reduced = {
+        n.name: set(
+            (tuples[n.relation].query(n.filter) if n.filter
+             else tuples[n.relation])[TID]
+        )
+        for n in root.walk()
+    }
+    active = reduced[start_alias(steps)]
+    counts = []
+    for phase, labels in (("up", steps), ("down", steps[::-1])):
+        for (p_alias, p_col), (alias, col) in zip(labels[::2], labels[1::2]):
+            src = tuples[by_alias[p_alias].relation].dropna(subset=[p_col])
+            src = src[src[TID].isin(active)]
+            hit = tuples[by_alias[alias].relation].dropna(subset=[col])
+            hit = hit[hit[col].isin(set(src[p_col]))]
+            if phase == "down":
+                hit = hit[hit[TID].isin(reduced[alias])]
+            counts += [len(src), len(hit)]
+            active = reduced[alias] = reduced[alias] & set(hit[TID])
+    return counts
+
+
+class TestAdversarialReduction:
+    @pytest.fixture(scope="class")
+    def adversarial_graph(self, spark):
+        rels = {
+            name: spark.createDataFrame(rows, schema)
+            for name, (schema, rows) in _ADV_ROWS.items()
+        }
+        graph = TAGGraph.encode(spark, rels, attributes={"E": ["src"]})
+        graph.materialize()
+        assert "dst" not in graph.edges["E"]
+        tuples = {n: t.toPandas() for n, t in graph.tuples.items()}
+        return graph, tuples
+
+    @pytest.mark.parametrize("empty_branch", [False, True])
+    def test_distinct_and_matches_pandas(self, adversarial_graph,
+                                         empty_branch):
+        graph, tuples = adversarial_graph
+        spec = _adversarial_spec(empty_branch)
+        nodes = list(spec.walk())
+        steps = gensteps(build_plan(spec))
+        expected = _pandas_full_reducer(tuples, spec)
+        assert bool(expected["R"]) is not empty_branch
+
+        results = {}
+        for metered in (False, True):
+            stats = RunStats() if metered else None
+            reduced = reduce_phase(graph, nodes, steps, stats)
+            for alias, df in reduced.items():
+                assert df.count() == df.distinct().count(), alias
+            results[metered] = {
+                a: {r[TID] for r in df.collect()} for a, df in reduced.items()
+            }
+            if metered:
+                assert stats.reduced_sizes == {
+                    a: len(v) for a, v in results[True].items()
+                }
+                assert [t.messages for t in stats.traces] == _pandas_ledger(
+                    tuples, spec, steps
+                )
+        assert results[False] == results[True] == expected
