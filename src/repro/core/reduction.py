@@ -28,15 +28,25 @@ semijoin sends one message per label-edge of an active attribute vertex,
 of the plan: an edge table has at most one row per tuple (NULLs get no
 edge) and the active tid sets are duplicate-free, so ``e ⋉ active`` has
 exactly as many rows as ``e ⋈ active``; on the value side ``⋉`` ignores
-duplicate values, as distinct active attribute vertices would. Where the
-checkpointed tid set is the semijoin's message frame itself (everywhere but
-an UP-pass intersection with a prior reduced set), it is counted instead.
+duplicate values, as distinct active attribute vertices would.
+
+As in Algorithm 2, where the engine counts messages while sending them, the
+counts come from the superstep itself: each counted frame carries a
+``DataFrame.observe`` row count, and the pair's eager barrier fills them all
+in the same action, so metering runs no Spark job of its own. The observed
+frames are ``vals`` (the projection), ``msgs`` before any UP intersection
+(the semijoin) and, where the UP pass intersects, the barrier frame itself
+(the alias's reduced size; otherwise that is the semijoin's count).
+``reduced_sizes`` come from each alias's last barrier. Only when AQE prunes
+an observed subtree at run time (an empty join input) does a frame get
+counted again, exactly: a pruned frame's count is not necessarily 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
+from pyspark.sql import functions as F
 
 from .plan import EdgeLabel, start_alias
 from .spec import Node
@@ -82,6 +92,30 @@ def filtered_tids(graph: TAGGraph, node: Node) -> DataFrame | None:
     return graph.tuples[node.relation].where(node.filter).select(TID)
 
 
+def _counted(
+    df: DataFrame, counts: list[tuple[Observation, DataFrame]] | None
+) -> DataFrame:
+    """``df`` with a row count observed by its action, recorded in ``counts``
+    as ``(Observation, df)``; ``df`` unchanged when ``counts`` is None."""
+    if counts is None:
+        return df
+    obs = Observation()
+    counts.append((obs, df))
+    return df.observe(obs, F.count(F.lit(1)))
+
+
+def _observed_count(obs: Observation, df: DataFrame) -> int:
+    """The row count ``obs`` saw, once the action over it has run.
+
+    When AQE prunes the observed subtree (an empty join input found at run
+    time), the observation is completed with an empty row, which
+    ``Observation.get`` cannot convert, so the JVM row is read directly.
+    ``df`` (the frame without the observation) is then counted exactly: its
+    count need not be 0."""
+    row = obs._jo.getRow()
+    return row.getLong(0) if row.length() else df.count()
+
+
 def reduce_phase(
     graph: TAGGraph,
     nodes: list[Node],
@@ -114,11 +148,15 @@ def reduce_phase(
 
     active = tids(start_alias(steps))
     superstep = 0
+    sizes: dict[str, int] = {}  # alias -> rows of its last barrier
     for phase, labels in (("up", steps), ("down", steps[::-1])):
         for (p_alias, p_col), (alias, col) in zip(labels[::2], labels[1::2]):
+            counts = [] if stats is not None else None  # observed frames
             # Projection: the active `p_alias` tuple vertices message their
             # `p_col` attribute vertices (VAL carries π_{p_col}).
-            vals = edge(p_alias, p_col).join(active, TID, "left_semi")
+            vals = _counted(
+                edge(p_alias, p_col).join(active, TID, "left_semi"), counts
+            )
             # Semijoin: those attribute vertices message `alias`-tuples via
             # `alias.col` edges → alias ⋉ vals, intersected with the
             # accumulated reduction. In the DOWN pass messages only travel
@@ -128,29 +166,35 @@ def reduce_phase(
             prior = reduced[alias]
             if phase == "down" and prior is not None:
                 msgs = msgs.join(prior, TID, "left_semi")
-            msgs = msgs.select(TID)
-            intersect = phase == "up" and prior is not None
-            t = msgs.join(prior, TID, "left_semi") if intersect else msgs
+            msgs = _counted(msgs.select(TID), counts)
+            if phase == "up" and prior is not None:
+                t = _counted(msgs.join(prior, TID, "left_semi"), counts)
+            else:
+                t = msgs
             # Pair barrier: one eager localCheckpoint materialises the new
             # reduced set and truncates lineage, so each pair is one plan
             # over the cached edge tables rather than a re-execution of the
             # whole history. The projection needs no barrier of its own:
             # with the semijoin it forms one Lemma 5.1 semijoin. (A lazy
-            # checkpoint still runs jobs under AQE, and costs more.)
+            # checkpoint still runs jobs under AQE, and costs more.) The
+            # same action fills the pair's observed counts.
             active = reduced[alias] = t.localCheckpoint(eager=True)
             if stats is not None:
-                # Unless the UP pass intersected, the barrier holds exactly
-                # the semijoin's messages: count it rather than re-run msgs.
-                sent = msgs if intersect else active
+                n_vals, n_msgs, *n_t = (
+                    _observed_count(obs, df) for obs, df in counts
+                )
+                sizes[alias] = n_t[0] if n_t else n_msgs
                 stats.traces += [
                     StepTrace(phase, superstep + 1, f"{p_alias}.{p_col}",
-                              "project", vals.count()),
+                              "project", n_vals),
                     StepTrace(phase, superstep + 2, f"{alias}.{col}",
-                              "semijoin", sent.count()),
+                              "semijoin", n_msgs),
                 ]
             superstep += 2
 
     out = {a: tids(a) for a in reduced}
     if stats is not None:
-        stats.reduced_sizes = {a: df.count() for a, df in out.items()}
+        stats.reduced_sizes = {
+            a: sizes[a] if a in sizes else df.count() for a, df in out.items()
+        }
     return out

@@ -126,7 +126,11 @@ class BenchRunner:
     def _run_duckdb(self, q: Query) -> int:
         return len(self._duck.execute(q.sql).fetchall())
 
-    def run_query(self, q: Query, system: str) -> QueryResult:
+    def run_query(
+        self, q: Query, system: str, with_messages: bool = True
+    ) -> QueryResult:
+        """Warm up, then time ``reps`` runs of ``q`` on ``system``. For TAG,
+        ``with_messages`` adds one metered run for the message count."""
         fn = {
             "tag": self._run_tag,
             "spark_sql": self._run_spark_sql,
@@ -154,7 +158,7 @@ class BenchRunner:
                 self.meter.delta(shuffle_before) if system != "duckdb" else None
             ),
         )
-        if system == "tag":
+        if system == "tag" and with_messages:
             _, stats = q.run_tag(self.graph, stats=True)
             result.messages = stats.total_messages()
         return result
@@ -165,40 +169,11 @@ class BenchRunner:
         systems: tuple[str, ...] = SYSTEMS,
         with_messages: bool = False,
     ) -> list[QueryResult]:
-        out = []
-        for name in sorted(queries):
-            q = queries[name]
-            for system in systems:
-                if system == "tag" and not with_messages:
-                    # skip the extra stats pass unless asked
-                    r = self._run_query_no_stats(q, system)
-                else:
-                    r = self.run_query(q, system)
-                out.append(r)
-        return out
-
-    def _run_query_no_stats(self, q: Query, system: str) -> QueryResult:
-        fn = {
-            "tag": self._run_tag,
-            "spark_sql": self._run_spark_sql,
-            "duckdb": self._run_duckdb,
-        }[system]
-        for _ in range(self.warmup):
-            rows = fn(q)
-        runs = []
-        for _ in range(self.reps):
-            t0 = time.perf_counter()
-            rows = fn(q)
-            runs.append(time.perf_counter() - t0)
-        return QueryResult(
-            query=q.name,
-            system=system,
-            mean_s=sum(runs) / len(runs),
-            runs_s=runs,
-            rows=rows,
-            agg_class=q.agg_class,
-            paper_class=q.paper_class,
-        )
+        return [
+            self.run_query(queries[name], system, with_messages)
+            for name in sorted(queries)
+            for system in systems
+        ]
 
 
 def speedup_class(tag_s: float, other_s: float) -> str:

@@ -1,13 +1,17 @@
 """Reduction-phase tests: Lemma 5.1 semantics, full reduction, bounds."""
 from __future__ import annotations
 
+import uuid
+
 import pandas as pd
 import pytest
 
+from repro.core import tagjoin
 from repro.core.plan import build_plan, gensteps, start_alias
 from repro.core.reduction import RunStats, reduce_phase
 from repro.core.spec import Node
 from repro.core.tag import TAGGraph, TID
+from repro.tpcds.queries import QUERIES as TPCDS_QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -169,11 +173,13 @@ class TestTraces:
     def test_reduced_sizes_recorded(self, chain_instance):
         graph, spec, _ = chain_instance
         stats = RunStats()
-        reduce_phase(
+        reduced = reduce_phase(
             graph, list(spec.walk()), gensteps(build_plan(spec)), stats
         )
         assert set(stats.reduced_sizes) == {"R", "S", "T"}
-        assert all(v >= 0 for v in stats.reduced_sizes.values())
+        assert stats.reduced_sizes == {
+            a: len({r[TID] for r in df.collect()}) for a, df in reduced.items()
+        }
 
 
 class TestTwoWayBounds:
@@ -213,6 +219,75 @@ def _checkpoint_spy(monkeypatch, frame_cls):
     return calls
 
 
+def _spark_jobs(spark, fn) -> int:
+    """Spark jobs launched by ``fn()``, counted under a fresh job group once
+    the listener bus has delivered every job event."""
+    sc = spark.sparkContext
+    group = f"test_reduction/{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "reduce_phase")
+    try:
+        fn()
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description",
+                    "spark.job.interruptOnCancel"):
+            sc.setLocalProperty(key, None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.fixture(params=["chain", "ds_q37"])
+def reduction_args(request, monkeypatch):
+    """(graph, nodes, steps) of a non-empty reduction: the chain instance, or
+    the one ``reduce_phase`` call of TPC-DS ds_q37's TAG run."""
+    if request.param == "chain":
+        graph, spec, _ = request.getfixturevalue("chain_instance")
+        return graph, list(spec.walk()), gensteps(build_plan(spec))
+    graph = request.getfixturevalue("tpcds_graph")
+    calls = []
+    real = tagjoin.reduce_phase
+
+    def capture(graph, nodes, steps, stats=None):
+        calls.append((graph, nodes, steps))
+        return real(graph, nodes, steps, stats)
+
+    with monkeypatch.context() as m:
+        m.setattr(tagjoin, "reduce_phase", capture)
+        TPCDS_QUERIES["ds_q37"].run_tag(graph)
+    (args,) = calls
+    return args
+
+
+class TestMeteringCost:
+    """Metered counts ride the pair barriers' own actions (observations)."""
+
+    def test_metered_reduction_calls_no_count(self, reduction_args,
+                                              monkeypatch):
+        graph, nodes, steps = reduction_args
+        frame_cls = type(graph.tuples[nodes[0].relation])
+        real = frame_cls.count
+        calls = []
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(frame_cls, "count", spy)
+        stats = RunStats()
+        reduce_phase(graph, nodes, steps, stats)
+        assert len(stats.traces) == 2 * len(steps)
+        assert all(stats.reduced_sizes.values())  # non-empty instance
+        assert calls == []
+
+    def test_metering_adds_no_spark_jobs(self, spark, reduction_args):
+        graph, nodes, steps = reduction_args
+        plain = _spark_jobs(spark, lambda: reduce_phase(graph, nodes, steps))
+        metered = _spark_jobs(
+            spark, lambda: reduce_phase(graph, nodes, steps, RunStats())
+        )
+        assert plain > 0
+        assert metered == plain
+
+
 class TestBarriers:
     @pytest.mark.parametrize("metered", [False, True])
     def test_one_eager_barrier_per_pair(self, chain_instance, monkeypatch,
@@ -243,16 +318,18 @@ _ADV_ROWS = {
         (1, 0), (1, 1), (1, 2), (2, 0), (4, None), (None, 0), (8, 3),
     ]),
     "Z": ("zk long", [(999,), (None,)]),
+    # P.pn is NULL everywhere, so its edge table is empty.
+    "P": ("pa long, pn long", [(1, None), (2, None), (3, None)]),
 }
 
 
-def _adversarial_spec(empty_branch: bool) -> Node:
+def _adversarial_spec(empty_branch: bool, r_filter: str = "ra >= 1") -> Node:
     e2 = Node(relation="E", alias="E2", parent_join=("dst", "src"))
     if empty_branch:  # no E2.dst value occurs in Z: the join is empty
         e2.children.append(Node(relation="Z", parent_join=("dst", "zk")))
     return Node(
         relation="R",
-        filter="ra >= 1",
+        filter=r_filter,
         children=[
             Node(relation="E", alias="E1", parent_join=("rb", "src"),
                  children=[e2]),
@@ -325,26 +402,53 @@ class TestAdversarialReduction:
     def test_distinct_and_matches_pandas(self, adversarial_graph,
                                          empty_branch):
         graph, tuples = adversarial_graph
-        spec = _adversarial_spec(empty_branch)
-        nodes = list(spec.walk())
-        steps = gensteps(build_plan(spec))
-        expected = _pandas_full_reducer(tuples, spec)
+        expected = _check_against_pandas(
+            graph, tuples, _adversarial_spec(empty_branch)
+        )
         assert bool(expected["R"]) is not empty_branch
 
-        results = {}
-        for metered in (False, True):
-            stats = RunStats() if metered else None
-            reduced = reduce_phase(graph, nodes, steps, stats)
-            for alias, df in reduced.items():
-                assert df.count() == df.distinct().count(), alias
-            results[metered] = {
-                a: {r[TID] for r in df.collect()} for a, df in reduced.items()
+    @pytest.mark.parametrize("case", ["empty_edge_table", "empty_up_prior"])
+    def test_pruned_observations_recount_exactly(self, adversarial_graph,
+                                                 case):
+        """An empty join input lets AQE prune an observed frame at run time;
+        the metered counts must still be exact, not 0."""
+        graph, tuples = adversarial_graph
+        if case == "empty_edge_table":
+            # UP: the semijoin into P runs over the empty P.pn edge table,
+            # so AQE prunes the non-empty R.ra projection under it.
+            spec = _adversarial_spec(False)
+            spec.parent_join = ("pn", "ra")
+            spec = Node(relation="P", children=[spec])
+        else:
+            # UP: the non-empty semijoin into R is intersected with R's
+            # empty filtered set, so AQE prunes it.
+            spec = _adversarial_spec(False, r_filter="ra > 100")
+        expected = _check_against_pandas(graph, tuples, spec)
+        assert not expected["R"]
+
+
+def _check_against_pandas(graph, tuples, spec: Node):
+    """Run ``spec``'s reduction unmetered and metered; both must give the
+    pandas full reducer's duplicate-free tid sets, and the metered run the
+    pandas ledger and exact ``reduced_sizes``. Returns the expected sets."""
+    nodes = list(spec.walk())
+    steps = gensteps(build_plan(spec))
+    expected = _pandas_full_reducer(tuples, spec)
+    results = {}
+    for metered in (False, True):
+        stats = RunStats() if metered else None
+        reduced = reduce_phase(graph, nodes, steps, stats)
+        for alias, df in reduced.items():
+            assert df.count() == df.distinct().count(), alias
+        results[metered] = {
+            a: {r[TID] for r in df.collect()} for a, df in reduced.items()
+        }
+        if metered:
+            assert stats.reduced_sizes == {
+                a: len(v) for a, v in results[True].items()
             }
-            if metered:
-                assert stats.reduced_sizes == {
-                    a: len(v) for a, v in results[True].items()
-                }
-                assert [t.messages for t in stats.traces] == _pandas_ledger(
-                    tuples, spec, steps
-                )
-        assert results[False] == results[True] == expected
+            assert [t.messages for t in stats.traces] == _pandas_ledger(
+                tuples, spec, steps
+            )
+    assert results[False] == results[True] == expected
+    return expected
