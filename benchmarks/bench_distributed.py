@@ -3,7 +3,7 @@
 Raises shuffle partitions to emulate cluster-grade data movement, then
 compares TAG-join vs Spark SQL on representative queries — the runtime
 half of the distributed comparison; the communication half (message
-counts / shuffle bytes) is produced by jobs/table16/17.
+counts / shuffle bytes) is produced by `python jobs/run.py 16 17`.
 """
 from __future__ import annotations
 

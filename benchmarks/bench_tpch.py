@@ -2,7 +2,7 @@
 
 Each (query, system) pair is one benchmark; compare `tag` vs `spark_sql`
 vs `duckdb` groups to read off the table's shape. The full 3-SF sweep is
-`jobs/table08_09_10_tpch_all.py`.
+`python jobs/run.py 8`.
 """
 from __future__ import annotations
 

@@ -1,7 +1,5 @@
-"""Shared bootstrap for spark-submit jobs.
-
-Each job is `python jobs/tableXX_*.py` (or spark-submit) and prints the
-paper-table rows while saving structured JSON under results/.
+"""Shared bootstrap for the table jobs (`python jobs/run.py …`, or
+spark-submit): driver memory, master and the `src/` import path.
 """
 import os
 import sys

@@ -1,17 +1,11 @@
-"""Legacy setup.py so `pip install -e .` works offline.
+"""Bare setup(): the package metadata lives in pyproject.toml.
 
-The container has setuptools but not `wheel`, so the PEP 660 editable path
-(which shells out to bdist_wheel) fails. With no [build-system] table in
-pyproject.toml, pip falls back to `setup.py develop`, which needs only
-setuptools. Project metadata lives in pyproject.toml's [project] table and
-is mirrored here.
+setup.py stays for the offline editable install, ``python setup.py
+develop``, which needs only setuptools. pip's editable install builds
+metadata through ``bdist_wheel``, so without the ``wheel`` package it fails
+with ``invalid command 'bdist_wheel'`` (and pip refuses ``--no-use-pep517``
+without ``wheel``).
 """
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="0.1.0",
-    python_requires=">=3.11",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-)
+setup()

@@ -21,15 +21,8 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from .reduction import RunStats, StepTrace
-from .spec import Node
+from .spec import Node, qualify
 from .tag import TID, TAGGraph
-
-
-def qualify(node: Node, col: str) -> str:
-    """Output-side name of ``col`` for ``node`` (alias-prefixed if aliased)."""
-    if node.alias and node.alias != node.relation:
-        return f"{node.alias}_{col}"
-    return col
 
 
 def _needed_columns(node: Node) -> list[str]:

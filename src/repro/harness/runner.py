@@ -27,7 +27,7 @@ import duckdb
 from pyspark.sql import SparkSession
 
 from ..core.tag import TAGGraph
-from ..tpch.queries import Query
+from ..query import Query
 
 SYSTEMS = ("tag", "spark_sql", "duckdb")
 

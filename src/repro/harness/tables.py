@@ -4,8 +4,8 @@ Scale-factor mapping (DESIGN.md): the paper's SF 30/50/75 (GB) become our
 SF 0.025/0.05/0.1 — same 1:2:3-ish progression, laptop-scale data.
 
 Each ``table_XX`` function prints rows shaped like the paper's table and
-returns the structured data; ``jobs/tableXX_*.py`` are spark-submit
-wrappers, and EXPERIMENTS.md records paper numbers next to ours.
+returns the structured data; ``jobs/run.py <table-number…|all>`` runs
+them, and EXPERIMENTS.md records paper numbers next to ours.
 
 The timing-bearing tables (3/4/8–13 and 5/6/14 derived from them) share
 one measurement suite per benchmark (``run_suite``) so a query is timed

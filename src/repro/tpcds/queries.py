@@ -1,4 +1,4 @@
-"""TPC-DS-lite queries: TAG-join spec + identical SQL per query.
+"""TPC-DS-lite queries: SQL text + TAG-join plan per query.
 
 10 representative queries over the TPC-DS-lite snowflake schema, one or
 more per evaluation class of the paper's Tables 5/6/11–13 (§8.4):
@@ -12,7 +12,11 @@ more per evaluation class of the paper's Tables 5/6/11–13 (§8.4):
 - **correlated subquery**: ds_q6
 
 Names anchor to the TPC-DS query each one emulates; bodies are simplified
-to the TPC-DS-lite schema (see DESIGN.md substitutions).
+to the TPC-DS-lite schema (see DESIGN.md substitutions). Queries derive
+their TAG spec from their own SQL and a root
+(:meth:`repro.query.Query.derived`), except ds_q6 (decorrelated), ds_q33
+(channel union) and ds_q98 (eager group-by, a plan choice its SQL does not
+state).
 """
 from __future__ import annotations
 
@@ -22,111 +26,52 @@ from pyspark.sql import functions as F
 
 from ..core.spec import Node, Preagg, QuerySpec
 from ..core.tag import TAGGraph
-from ..core.tagjoin import run_reduction_only, run_spec
-from ..tpch.queries import Query, _merged, _spec_impl
+from ..core.tagjoin import run_spec
+from ..query import Query, merged
+
+#: TPC-DS column naming: every column of a table starts with its prefix.
+PREFIXES = {
+    "store_sales": "ss", "catalog_sales": "cs", "web_sales": "ws",
+    "item": "i", "date_dim": "d", "customer": "c", "customer_address": "ca",
+    "store": "s",
+}
 
 QUERIES: dict[str, Query] = {}
 
 
-def _register(q: Query) -> None:
-    QUERIES[q.name] = q
+def _derived(name: str, root: str, agg_class: str, paper_class: str, sql: str):
+    QUERIES[name] = Query.derived(name, sql, root, PREFIXES, agg_class, paper_class)
+
+
+def _hand(name: str, agg_class: str, paper_class: str, sql: str, tag) -> None:
+    QUERIES[name] = Query(name, sql, agg_class, paper_class, tag=tag)
 
 
 # ---------------------------------------------------------------------------
 # No aggregation
 # ---------------------------------------------------------------------------
 
-_register(
-    Query(
-        name="ds_q37",
-        tables=["item", "store_sales"],
-        agg_class="none",
-        paper_class="No agg",
-        sql="""
+# A pure semijoin: items that sold. Reduction-only TAG run — the reduced
+# root is the answer, no collection multiplicities.
+_derived("ds_q37", "item", "none", "No agg", """
 SELECT DISTINCT i_item_id AS i_item_id, i_current_price AS i_current_price
 FROM item, store_sales
 WHERE i_item_sk = ss_item_sk
   AND i_current_price BETWEEN 20 AND 25 AND i_category = 'Books'
-""",
-        # A pure semijoin: items that sold. Reduction-only TAG run — the
-        # reduced root is the answer, no collection multiplicities.
-        tag=lambda graph, stats=False: run_reduction_only(
-            graph,
-            QuerySpec(
-                name="ds_q37",
-                root=Node(
-                    relation="item",
-                    filter=(
-                        "i_current_price BETWEEN 20 AND 25 "
-                        "AND i_category = 'Books'"
-                    ),
-                    need=["i_item_id", "i_current_price"],
-                    children=[
-                        Node(
-                            relation="store_sales",
-                            parent_join=("i_item_sk", "ss_item_sk"),
-                        )
-                    ],
-                ),
-                select=[
-                    ("i_item_id", "i_item_id"),
-                    ("i_current_price", "i_current_price"),
-                ],
-                distinct=True,
-            ),
-            stats=stats,
-        ),
-    )
-)
+""")
 
-_register(
-    Query(
-        name="ds_q84",
-        tables=["customer", "customer_address"],
-        agg_class="none",
-        paper_class="No agg",
-        sql="""
+_derived("ds_q84", "customer", "none", "No agg", """
 SELECT c_customer_id AS customer_id, ca_county AS county
 FROM customer, customer_address
 WHERE c_current_addr_sk = ca_address_sk
   AND ca_state = 'CA' AND c_birth_year BETWEEN 1980 AND 1985
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q84",
-                root=Node(
-                    relation="customer",
-                    filter="c_birth_year BETWEEN 1980 AND 1985",
-                    need=["c_customer_id"],
-                    children=[
-                        Node(
-                            relation="customer_address",
-                            parent_join=("c_current_addr_sk", "ca_address_sk"),
-                            filter="ca_state = 'CA'",
-                            need=["ca_county"],
-                        )
-                    ],
-                ),
-                select=[
-                    ("c_customer_id", "customer_id"),
-                    ("ca_county", "county"),
-                ],
-            )
-        ),
-    )
-)
+""")
 
 # ---------------------------------------------------------------------------
 # Local aggregation
 # ---------------------------------------------------------------------------
 
-_register(
-    Query(
-        name="ds_q7",
-        tables=["store_sales", "date_dim", "item"],
-        agg_class="LA",
-        paper_class="Local",
-        sql="""
+_derived("ds_q7", "store_sales", "LA", "Local", """
 SELECT i_item_id AS i_item_id,
        avg(ss_quantity) AS agg1, avg(ss_sales_price) AS agg2,
        avg(ss_ext_sales_price) AS agg3
@@ -134,85 +79,20 @@ FROM store_sales, date_dim, item
 WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk
   AND d_year = 2000
 GROUP BY i_item_id
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q7",
-                root=Node(
-                    relation="store_sales",
-                    need=["ss_quantity", "ss_sales_price", "ss_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ss_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 2000",
-                        ),
-                        Node(
-                            relation="item",
-                            parent_join=("ss_item_sk", "i_item_sk"),
-                            need=["i_item_id"],
-                        ),
-                    ],
-                ),
-                group_by=["i_item_id"],
-                aggregates=[
-                    ("avg(ss_quantity)", "agg1"),
-                    ("avg(ss_sales_price)", "agg2"),
-                    ("avg(ss_ext_sales_price)", "agg3"),
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-_register(
-    Query(
-        name="ds_q12",
-        tables=["web_sales", "item", "date_dim"],
-        agg_class="LA",
-        paper_class="Local",
-        sql="""
+_derived("ds_q12", "web_sales", "LA", "Local", """
 SELECT i_item_id AS i_item_id, i_category AS i_category,
        sum(ws_ext_sales_price) AS itemrevenue
 FROM web_sales, item, date_dim
 WHERE ws_item_sk = i_item_sk AND i_category IN ('Books', 'Home')
   AND ws_sold_date_sk = d_date_sk AND d_year = 1999 AND d_moy BETWEEN 2 AND 3
 GROUP BY i_item_id, i_category
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q12",
-                root=Node(
-                    relation="web_sales",
-                    need=["ws_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="item",
-                            parent_join=("ws_item_sk", "i_item_sk"),
-                            filter="i_category IN ('Books', 'Home')",
-                            need=["i_item_id", "i_category"],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ws_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 1999 AND d_moy BETWEEN 2 AND 3",
-                        ),
-                    ],
-                ),
-                group_by=["i_item_id", "i_category"],
-                aggregates=[("sum(ws_ext_sales_price)", "itemrevenue")],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-
-def _channel_spec(name: str, fact: str, prefix: str, cust_col: str) -> QuerySpec:
+def _channel_spec(name: str, fact: str, prefix: str) -> QuerySpec:
     """One channel of ds_q33: fact ⋈ item(Electronics) ⋈ date(2000-01),
     eagerly aggregated by manufacturer."""
-    del cust_col  # not used by this query
     return QuerySpec(
         name=name,
         root=Node(
@@ -239,9 +119,9 @@ def _channel_spec(name: str, fact: str, prefix: str, cust_col: str) -> QuerySpec
 
 
 _Q33_CHANNELS = [
-    _channel_spec("ds_q33_ss", "store_sales", "ss", "ss_customer_sk"),
-    _channel_spec("ds_q33_cs", "catalog_sales", "cs", "cs_bill_customer_sk"),
-    _channel_spec("ds_q33_ws", "web_sales", "ws", "ws_bill_customer_sk"),
+    _channel_spec("ds_q33_ss", "store_sales", "ss"),
+    _channel_spec("ds_q33_cs", "catalog_sales", "cs"),
+    _channel_spec("ds_q33_ws", "web_sales", "ws"),
 ]
 
 
@@ -262,16 +142,10 @@ def _q33_tag(graph: TAGGraph, stats: bool = False):
             F.col("total_sales").alias("total_sales"),
         )
     )
-    return out, _merged(*all_stats)
+    return out, merged(*all_stats)
 
 
-_register(
-    Query(
-        name="ds_q33",
-        tables=["store_sales", "catalog_sales", "web_sales", "item", "date_dim"],
-        agg_class="LA",
-        paper_class="Local",
-        sql="""
+_hand("ds_q33", "LA", "Local", """
 WITH ss AS (SELECT i_manufact_id, sum(ss_ext_sales_price) AS total_sales
             FROM store_sales, date_dim, item
             WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
@@ -290,18 +164,49 @@ WITH ss AS (SELECT i_manufact_id, sum(ss_ext_sales_price) AS total_sales
 SELECT i_manufact_id AS i_manufact_id, sum(total_sales) AS total_sales
 FROM (SELECT * FROM ss UNION ALL SELECT * FROM cs UNION ALL SELECT * FROM ws) u
 GROUP BY i_manufact_id
-""",
-        tag=_q33_tag,
-    )
+""", _q33_tag)
+
+# Eager group-by (§7): the store_sales subtree (fact ⋈ date filter)
+# pre-aggregates per item key before joining the item dimension.
+_Q98 = QuerySpec(
+    name="ds_q98",
+    root=Node(
+        relation="item",
+        filter="i_category = 'Sports'",
+        need=["i_item_id", "i_class"],
+        children=[
+            Node(
+                relation="store_sales",
+                parent_join=("i_item_sk", "ss_item_sk"),
+                need=["ss_ext_sales_price"],
+                preagg=Preagg(
+                    keys=["ss_item_sk"],
+                    aggs=[("sum(ss_ext_sales_price)", "pre_rev")],
+                ),
+                children=[
+                    Node(
+                        relation="date_dim",
+                        parent_join=("ss_sold_date_sk", "d_date_sk"),
+                        filter=(
+                            "d_date BETWEEN date'1999-02-22' "
+                            "AND date'1999-03-24'"
+                        ),
+                    )
+                ],
+            )
+        ],
+    ),
+    group_by=["i_item_id", "i_class"],
+    aggregates=[("sum(pre_rev)", "itemrevenue")],
+    agg_class="LA",
 )
 
-_register(
-    Query(
-        name="ds_q98",
-        tables=["store_sales", "item", "date_dim"],
-        agg_class="LA",
-        paper_class="Local",
-        sql="""
+
+def _q98_tag(graph: TAGGraph, stats: bool = False):
+    return run_spec(graph, _Q98, stats=stats)
+
+
+_hand("ds_q98", "LA", "Local", """
 SELECT i_item_id AS i_item_id, i_class AS i_class,
        sum(ss_ext_sales_price) AS itemrevenue
 FROM store_sales, item, date_dim
@@ -309,57 +214,13 @@ WHERE ss_item_sk = i_item_sk AND i_category = 'Sports'
   AND ss_sold_date_sk = d_date_sk
   AND d_date BETWEEN date '1999-02-22' AND date '1999-03-24'
 GROUP BY i_item_id, i_class
-""",
-        # Eager group-by (§7): the store_sales subtree (fact ⋈ date filter)
-        # pre-aggregates per item key before joining the item dimension.
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q98",
-                root=Node(
-                    relation="item",
-                    filter="i_category = 'Sports'",
-                    need=["i_item_id", "i_class"],
-                    children=[
-                        Node(
-                            relation="store_sales",
-                            parent_join=("i_item_sk", "ss_item_sk"),
-                            need=["ss_ext_sales_price"],
-                            preagg=Preagg(
-                                keys=["ss_item_sk"],
-                                aggs=[("sum(ss_ext_sales_price)", "pre_rev")],
-                            ),
-                            children=[
-                                Node(
-                                    relation="date_dim",
-                                    parent_join=("ss_sold_date_sk", "d_date_sk"),
-                                    filter=(
-                                        "d_date BETWEEN date'1999-02-22' "
-                                        "AND date'1999-03-24'"
-                                    ),
-                                )
-                            ],
-                        )
-                    ],
-                ),
-                group_by=["i_item_id", "i_class"],
-                aggregates=[("sum(pre_rev)", "itemrevenue")],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""", _q98_tag)
 
 # ---------------------------------------------------------------------------
 # Global aggregation
 # ---------------------------------------------------------------------------
 
-_register(
-    Query(
-        name="ds_q45",
-        tables=["web_sales", "customer", "customer_address", "date_dim"],
-        agg_class="GA",
-        paper_class="Global",
-        sql="""
+_derived("ds_q45", "web_sales", "GA", "Global", """
 SELECT ca_county AS ca_county, ca_state AS ca_state,
        sum(ws_ext_sales_price) AS total
 FROM web_sales, customer, customer_address, date_dim
@@ -367,144 +228,27 @@ WHERE ws_bill_customer_sk = c_customer_sk
   AND c_current_addr_sk = ca_address_sk
   AND ws_sold_date_sk = d_date_sk AND d_qoy = 2 AND d_year = 2001
 GROUP BY ca_county, ca_state
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q45",
-                root=Node(
-                    relation="web_sales",
-                    need=["ws_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("ws_bill_customer_sk", "c_customer_sk"),
-                            children=[
-                                Node(
-                                    relation="customer_address",
-                                    parent_join=(
-                                        "c_current_addr_sk",
-                                        "ca_address_sk",
-                                    ),
-                                    need=["ca_county", "ca_state"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ws_sold_date_sk", "d_date_sk"),
-                            filter="d_qoy = 2 AND d_year = 2001",
-                        ),
-                    ],
-                ),
-                group_by=["ca_county", "ca_state"],
-                aggregates=[("sum(ws_ext_sales_price)", "total")],
-                agg_class="GA",
-            )
-        ),
-    )
-)
+""")
 
-_register(
-    Query(
-        name="ds_q69",
-        tables=["customer", "customer_address", "store_sales", "date_dim"],
-        agg_class="GA",
-        paper_class="Global",
-        sql="""
+_derived("ds_q69", "store_sales", "GA", "Global", """
 SELECT ca_state AS ca_state, c_preferred_cust_flag AS pref, count(*) AS cnt
 FROM customer, customer_address, store_sales, date_dim
 WHERE c_current_addr_sk = ca_address_sk AND ss_customer_sk = c_customer_sk
   AND ss_sold_date_sk = d_date_sk AND d_year = 2001 AND d_moy BETWEEN 1 AND 3
 GROUP BY ca_state, c_preferred_cust_flag
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q69",
-                root=Node(
-                    relation="store_sales",
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("ss_customer_sk", "c_customer_sk"),
-                            need=["c_preferred_cust_flag"],
-                            children=[
-                                Node(
-                                    relation="customer_address",
-                                    parent_join=(
-                                        "c_current_addr_sk",
-                                        "ca_address_sk",
-                                    ),
-                                    need=["ca_state"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("ss_sold_date_sk", "d_date_sk"),
-                            filter="d_year = 2001 AND d_moy BETWEEN 1 AND 3",
-                        ),
-                    ],
-                ),
-                group_by=["ca_state", "c_preferred_cust_flag"],
-                aggregates=[("count(*)", "cnt")],
-                select=[
-                    ("ca_state", "ca_state"),
-                    ("c_preferred_cust_flag", "pref"),
-                    ("cnt", "cnt"),
-                ],
-                agg_class="GA",
-            )
-        ),
-    )
-)
+""")
 
 # ---------------------------------------------------------------------------
 # Scalar global aggregation
 # ---------------------------------------------------------------------------
 
-_register(
-    Query(
-        name="ds_q32",
-        tables=["catalog_sales", "item", "date_dim"],
-        agg_class="GA_S",
-        paper_class="Global",
-        sql="""
+_derived("ds_q32", "catalog_sales", "GA_S", "Global", """
 SELECT sum(cs_ext_sales_price) AS excess_discount_amount
 FROM catalog_sales, item, date_dim
 WHERE i_manufact_id = 77 AND i_item_sk = cs_item_sk
   AND d_date BETWEEN date '2000-01-27' AND date '2000-04-26'
   AND d_date_sk = cs_sold_date_sk
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="ds_q32",
-                root=Node(
-                    relation="catalog_sales",
-                    need=["cs_ext_sales_price"],
-                    children=[
-                        Node(
-                            relation="item",
-                            parent_join=("cs_item_sk", "i_item_sk"),
-                            filter="i_manufact_id = 77",
-                        ),
-                        Node(
-                            relation="date_dim",
-                            parent_join=("cs_sold_date_sk", "d_date_sk"),
-                            filter=(
-                                "d_date BETWEEN date'2000-01-27' "
-                                "AND date'2000-04-26'"
-                            ),
-                        ),
-                    ],
-                ),
-                aggregates=[
-                    ("sum(cs_ext_sales_price)", "excess_discount_amount")
-                ],
-                agg_class="scalar",
-            )
-        ),
-    )
-)
+""")
 
 # ---------------------------------------------------------------------------
 # Correlated subquery
@@ -566,16 +310,10 @@ def _q6_tag(graph: TAGGraph, stats: bool = False):
         .agg(F.count("*").alias("cnt"))
         .select(F.col("ca_state").alias("ca_state"), F.col("cnt").alias("cnt"))
     )
-    return result, _merged(s1, s2)
+    return result, merged(s1, s2)
 
 
-_register(
-    Query(
-        name="ds_q6",
-        tables=["customer_address", "customer", "store_sales", "date_dim", "item"],
-        agg_class="GA",
-        paper_class="Corr",
-        sql="""
+_hand("ds_q6", "GA", "Corr", """
 SELECT ca_state AS ca_state, count(*) AS cnt
 FROM customer_address, customer, store_sales, date_dim, item i
 WHERE ca_address_sk = c_current_addr_sk AND c_customer_sk = ss_customer_sk
@@ -584,10 +322,7 @@ WHERE ca_address_sk = c_current_addr_sk AND c_customer_sk = ss_customer_sk
   AND i.i_current_price > 1.2 * (SELECT avg(j.i_current_price) FROM item j
                                  WHERE j.i_category = i.i_category)
 GROUP BY ca_state
-""",
-        tag=_q6_tag,
-    )
-)
+""", _q6_tag)
 
 
 def queries_by_class(paper_class: str) -> list[Query]:

@@ -1,9 +1,4 @@
-"""TPC-H-lite queries: TAG-join spec + identical SQL text per query.
-
-Each :class:`Query` carries SQL that runs verbatim on both Spark SQL and
-DuckDB (the comparison systems) and a TAG implementation over a
-:class:`~repro.core.tag.TAGGraph`. Output columns are aliased identically on
-all paths so the DuckDB oracle can diff them.
+"""TPC-H-lite queries: SQL text + TAG-join plan per query.
 
 Coverage vs the paper (§8.1.1 runs all 22; we keep 15 representative ones —
 see DESIGN.md for the substitution note). Queries are tagged with the
@@ -12,72 +7,38 @@ paper's aggregation classes (§7): LA (local aggregation), GA (global), GA_S
 Omitted: q8, q11, q13, q15, q16, q21, q22 (outer/anti-join patterns and
 view-style queries beyond the representative set).
 
-Note on group-by column naming: the TAG collection phase keeps the
-parent-side join column when parent/child join columns are equal in value
-(e.g. ``o_orderkey = l_orderkey``), so TAG specs group on the surviving
-column and alias it to the SQL output name.
+Every query but the correlated ones derives its TAG spec from its own SQL
+and a root (:meth:`repro.query.Query.derived`); q2, q17 and q20 hand-write
+their decorrelated plans.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.reduction import RunStats
 from ..core.spec import Node, QuerySpec
 from ..core.tag import TAGGraph
-from ..core.tagjoin import run_reduction_only, run_spec
+from ..core.tagjoin import run_spec
+from ..query import Query, merged
 
-TagImpl = Callable[[TAGGraph, bool], tuple[DataFrame, RunStats]]
-
-
-@dataclass
-class Query:
-    name: str
-    sql: str
-    tables: list[str]
-    agg_class: str  # 'none' | 'LA' | 'GA' | 'GA_S'
-    paper_class: str  # the class the paper's tables group it under
-    tag: TagImpl = field(repr=False, default=None)
-
-    def run_tag(self, graph: TAGGraph, stats: bool = False):
-        return self.tag(graph, stats)
-
-
-def _spec_impl(spec: QuerySpec) -> TagImpl:
-    def impl(graph: TAGGraph, stats: bool = False):
-        return run_spec(graph, spec, stats=stats)
-
-    return impl
-
-
-def _merged(*stats_list: RunStats) -> RunStats:
-    out = RunStats()
-    for s in stats_list:
-        out.traces.extend(s.traces)
-        out.reduced_sizes.update(s.reduced_sizes)
-    return out
-
+#: TPC-H column naming: every column of a table starts with its prefix.
+PREFIXES = {
+    "lineitem": "l", "orders": "o", "customer": "c", "part": "p",
+    "partsupp": "ps", "supplier": "s", "nation": "n", "region": "r",
+}
 
 QUERIES: dict[str, Query] = {}
 
 
-def _register(q: Query) -> None:
-    QUERIES[q.name] = q
+def _derived(name: str, root: str, agg_class: str, paper_class: str, sql: str):
+    QUERIES[name] = Query.derived(name, sql, root, PREFIXES, agg_class, paper_class)
 
 
-# ---------------------------------------------------------------------------
+def _hand(name: str, agg_class: str, paper_class: str, sql: str, tag) -> None:
+    QUERIES[name] = Query(name, sql, agg_class, paper_class, tag=tag)
+
+
 # q1 — pricing summary report: single-table scan, multi-attribute group by
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q1",
-        tables=["lineitem"],
-        agg_class="GA",
-        paper_class="GA",
-        sql="""
+_derived("q1", "lineitem", "GA", "GA", """
 SELECT l_returnflag AS l_returnflag, l_linestatus AS l_linestatus,
        sum(l_quantity) AS sum_qty,
        sum(l_extendedprice) AS sum_base_price,
@@ -90,33 +51,7 @@ SELECT l_returnflag AS l_returnflag, l_linestatus AS l_linestatus,
 FROM lineitem
 WHERE l_shipdate <= date '1998-09-02'
 GROUP BY l_returnflag, l_linestatus
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q1",
-                root=Node(
-                    relation="lineitem",
-                    filter="l_shipdate <= date'1998-09-02'",
-                ),
-                group_by=["l_returnflag", "l_linestatus"],
-                aggregates=[
-                    ("sum(l_quantity)", "sum_qty"),
-                    ("sum(l_extendedprice)", "sum_base_price"),
-                    ("sum(l_extendedprice * (1 - l_discount))", "sum_disc_price"),
-                    (
-                        "sum(l_extendedprice * (1 - l_discount) * (1 + l_tax))",
-                        "sum_charge",
-                    ),
-                    ("avg(l_quantity)", "avg_qty"),
-                    ("avg(l_extendedprice)", "avg_price"),
-                    ("avg(l_discount)", "avg_disc"),
-                    ("count(*)", "count_order"),
-                ],
-                agg_class="GA",
-            )
-        ),
-    )
-)
+""")
 
 # ---------------------------------------------------------------------------
 # q2 — minimum-cost supplier (correlated scalar subquery)
@@ -208,16 +143,10 @@ def _q2_tag(graph: TAGGraph, stats: bool = False):
         on=(outer.p_partkey == inner.mk)
         & (outer.ps_supplycost == inner.min_cost),
     ).drop("mk", "min_cost")
-    return joined, _merged(s1, s2)
+    return joined, merged(s1, s2)
 
 
-_register(
-    Query(
-        name="q2",
-        tables=["part", "partsupp", "supplier", "nation", "region"],
-        agg_class="none",
-        paper_class="Corr",
-        sql="""
+_hand("q2", "none", "Corr", """
 SELECT s_acctbal AS s_acctbal, s_name AS s_name, n_name AS n_name,
        p.p_partkey AS p_partkey, ps_supplycost AS ps_supplycost
 FROM part p, partsupp, supplier, nation, region
@@ -231,21 +160,10 @@ WHERE p.p_partkey = ps_partkey AND s_suppkey = ps_suppkey
       WHERE p.p_partkey = ps2.ps_partkey AND s2.s_suppkey = ps2.ps_suppkey
         AND s2.s_nationkey = n2.n_nationkey
         AND n2.n_regionkey = r2.r_regionkey AND r2.r_name = 'EUROPE')
-""",
-        tag=_q2_tag,
-    )
-)
+""", _q2_tag)
 
-# ---------------------------------------------------------------------------
 # q3 — shipping priority (LA: group key determined by the order)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q3",
-        tables=["customer", "orders", "lineitem"],
-        agg_class="LA",
-        paper_class="LA",
-        sql="""
+_derived("q3", "orders", "LA", "LA", """
 SELECT l_orderkey AS l_orderkey,
        sum(l_extendedprice * (1 - l_discount)) AS revenue,
        o_orderdate AS o_orderdate, o_shippriority AS o_shippriority
@@ -254,100 +172,21 @@ WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey
   AND l_orderkey = o_orderkey
   AND o_orderdate < date '1995-03-15' AND l_shipdate > date '1995-03-15'
 GROUP BY l_orderkey, o_orderdate, o_shippriority
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q3",
-                root=Node(
-                    relation="orders",
-                    filter="o_orderdate < date'1995-03-15'",
-                    need=["o_orderkey", "o_orderdate", "o_shippriority"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            filter="c_mktsegment = 'BUILDING'",
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_shipdate > date'1995-03-15'",
-                            need=["l_extendedprice", "l_discount"],
-                        ),
-                    ],
-                ),
-                group_by=["o_orderkey", "o_orderdate", "o_shippriority"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                select=[
-                    ("o_orderkey", "l_orderkey"),
-                    ("revenue", "revenue"),
-                    ("o_orderdate", "o_orderdate"),
-                    ("o_shippriority", "o_shippriority"),
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q4 — order priority checking (EXISTS ≡ semijoin: reduction-only TAG run)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q4",
-        tables=["orders", "lineitem"],
-        agg_class="LA",
-        paper_class="LA",
-        sql="""
+_derived("q4", "orders", "LA", "LA", """
 SELECT o_orderpriority AS o_orderpriority, count(*) AS order_count
 FROM orders
 WHERE o_orderdate >= date '1993-07-01' AND o_orderdate < date '1993-10-01'
   AND EXISTS (SELECT 1 FROM lineitem
               WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
 GROUP BY o_orderpriority
-""",
-        tag=lambda graph, stats=False: run_reduction_only(
-            graph,
-            QuerySpec(
-                name="q4",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1993-07-01' "
-                        "AND o_orderdate < date'1993-10-01'"
-                    ),
-                    need=["o_orderpriority"],
-                    children=[
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_commitdate < l_receiptdate",
-                        )
-                    ],
-                ),
-                group_by=["o_orderpriority"],
-                aggregates=[("count(*)", "order_count")],
-                agg_class="LA",
-            ),
-            stats=stats,
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q5 — local supplier volume: the 5-way *cycle* query (c/s nation equality).
 # GHD strategy (§6.4): spanning tree + cycle-closing residual predicate.
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q5",
-        tables=["customer", "orders", "lineitem", "supplier", "nation", "region"],
-        agg_class="LA",
-        paper_class="Cyclic/LA",
-        sql="""
+_derived("q5", "orders", "LA", "Cyclic/LA", """
 SELECT n_name AS n_name, sum(l_extendedprice * (1 - l_discount)) AS revenue
 FROM customer, orders, lineitem, supplier, nation, region
 WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
@@ -356,112 +195,18 @@ WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
   AND r_name = 'ASIA'
   AND o_orderdate >= date '1994-01-01' AND o_orderdate < date '1995-01-01'
 GROUP BY n_name
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q5",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1994-01-01' "
-                        "AND o_orderdate < date'1995-01-01'"
-                    ),
-                    need=["o_orderkey"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_nationkey"],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            need=["l_extendedprice", "l_discount"],
-                            children=[
-                                Node(
-                                    relation="supplier",
-                                    parent_join=("l_suppkey", "s_suppkey"),
-                                    need=["s_nationkey"],
-                                    children=[
-                                        Node(
-                                            relation="nation",
-                                            parent_join=(
-                                                "s_nationkey",
-                                                "n_nationkey",
-                                            ),
-                                            need=["n_name"],
-                                            children=[
-                                                Node(
-                                                    relation="region",
-                                                    parent_join=(
-                                                        "n_regionkey",
-                                                        "r_regionkey",
-                                                    ),
-                                                    filter="r_name = 'ASIA'",
-                                                )
-                                            ],
-                                        )
-                                    ],
-                                )
-                            ],
-                        ),
-                    ],
-                ),
-                post_filter="c_nationkey = s_nationkey",
-                group_by=["n_name"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q6 — revenue change forecast (scalar aggregation over one table)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q6",
-        tables=["lineitem"],
-        agg_class="GA_S",
-        paper_class="GA_S",
-        sql="""
+_derived("q6", "lineitem", "GA_S", "GA_S", """
 SELECT sum(l_extendedprice * l_discount) AS revenue
 FROM lineitem
 WHERE l_shipdate >= date '1994-01-01' AND l_shipdate < date '1995-01-01'
   AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q6",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate >= date'1994-01-01' "
-                        "AND l_shipdate < date'1995-01-01' "
-                        "AND l_discount BETWEEN 0.05 AND 0.07 "
-                        "AND l_quantity < 24"
-                    ),
-                ),
-                aggregates=[("sum(l_extendedprice * l_discount)", "revenue")],
-                agg_class="scalar",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q7 — volume shipping: self-join on NATION via aliases (GA)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q7",
-        tables=["supplier", "lineitem", "orders", "customer", "nation"],
-        agg_class="GA",
-        paper_class="GA",
-        sql="""
+_derived("q7", "lineitem", "GA", "GA", """
 SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
        year(l_shipdate) AS l_year,
        sum(l_extendedprice * (1 - l_discount)) AS revenue
@@ -473,172 +218,24 @@ WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey
        OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE'))
   AND l_shipdate BETWEEN date '1995-01-01' AND date '1996-12-31'
 GROUP BY n1.n_name, n2.n_name, year(l_shipdate)
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q7",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate BETWEEN date'1995-01-01' "
-                        "AND date'1996-12-31'"
-                    ),
-                    need=["l_extendedprice", "l_discount", "l_shipdate"],
-                    children=[
-                        Node(
-                            relation="supplier",
-                            parent_join=("l_suppkey", "s_suppkey"),
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    alias="n1",
-                                    parent_join=("s_nationkey", "n_nationkey"),
-                                    filter="n_name IN ('FRANCE', 'GERMANY')",
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            children=[
-                                Node(
-                                    relation="customer",
-                                    parent_join=("o_custkey", "c_custkey"),
-                                    children=[
-                                        Node(
-                                            relation="nation",
-                                            alias="n2",
-                                            parent_join=(
-                                                "c_nationkey",
-                                                "n_nationkey",
-                                            ),
-                                            filter=(
-                                                "n_name IN ('FRANCE', 'GERMANY')"
-                                            ),
-                                            need=["n_name"],
-                                        )
-                                    ],
-                                )
-                            ],
-                        ),
-                    ],
-                ),
-                post_filter=(
-                    "(n1_n_name = 'FRANCE' AND n2_n_name = 'GERMANY') "
-                    "OR (n1_n_name = 'GERMANY' AND n2_n_name = 'FRANCE')"
-                ),
-                group_by=[
-                    "n1_n_name",
-                    "n2_n_name",
-                    ("year(l_shipdate)", "l_year"),
-                ],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                select=[
-                    ("n1_n_name", "supp_nation"),
-                    ("n2_n_name", "cust_nation"),
-                    ("l_year", "l_year"),
-                    ("revenue", "revenue"),
-                ],
-                agg_class="GA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q9 — product type profit (GA; partsupp joins lineitem on two attributes:
 # tree edge on partkey + residual equality on suppkey, a width-2 GHD bag)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q9",
-        tables=["part", "supplier", "lineitem", "partsupp", "orders", "nation"],
-        agg_class="GA",
-        paper_class="GA",
-        sql="""
+_derived("q9", "lineitem", "GA", "GA", """
 SELECT n_name AS nation, year(o_orderdate) AS o_year,
        sum(l_extendedprice * (1 - l_discount)
            - ps_supplycost * l_quantity) AS sum_profit
 FROM part, supplier, lineitem, partsupp, orders, nation
-WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey
-  AND ps_partkey = l_partkey AND p_partkey = l_partkey
-  AND o_orderkey = l_orderkey AND s_nationkey = n_nationkey
+WHERE p_partkey = l_partkey AND ps_partkey = l_partkey
+  AND s_suppkey = l_suppkey AND o_orderkey = l_orderkey
+  AND s_nationkey = n_nationkey AND ps_suppkey = l_suppkey
   AND p_type = 'PROMO'
 GROUP BY n_name, year(o_orderdate)
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q9",
-                root=Node(
-                    relation="lineitem",
-                    need=[
-                        "l_extendedprice",
-                        "l_discount",
-                        "l_quantity",
-                        "l_suppkey",
-                    ],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            filter="p_type = 'PROMO'",
-                        ),
-                        Node(
-                            relation="partsupp",
-                            parent_join=("l_partkey", "ps_partkey"),
-                            need=["ps_suppkey", "ps_supplycost"],
-                        ),
-                        Node(
-                            relation="supplier",
-                            parent_join=("l_suppkey", "s_suppkey"),
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    parent_join=("s_nationkey", "n_nationkey"),
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            need=["o_orderdate"],
-                        ),
-                    ],
-                ),
-                post_filter="ps_suppkey = l_suppkey",
-                group_by=["n_name", ("year(o_orderdate)", "o_year")],
-                aggregates=[
-                    (
-                        "sum(l_extendedprice * (1 - l_discount) "
-                        "- ps_supplycost * l_quantity)",
-                        "sum_profit",
-                    )
-                ],
-                select=[
-                    ("n_name", "nation"),
-                    ("o_year", "o_year"),
-                    ("sum_profit", "sum_profit"),
-                ],
-                agg_class="GA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q10 — returned item reporting (LA: group key is the customer)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q10",
-        tables=["customer", "orders", "lineitem", "nation"],
-        agg_class="LA",
-        paper_class="LA",
-        sql="""
+_derived("q10", "orders", "LA", "LA", """
 SELECT c_custkey AS c_custkey, c_name AS c_name,
        sum(l_extendedprice * (1 - l_discount)) AS revenue,
        c_acctbal AS c_acctbal, n_name AS n_name
@@ -647,65 +244,10 @@ WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
   AND o_orderdate >= date '1993-10-01' AND o_orderdate < date '1994-01-01'
   AND l_returnflag = 'R' AND c_nationkey = n_nationkey
 GROUP BY c_custkey, c_name, c_acctbal, n_name
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q10",
-                root=Node(
-                    relation="orders",
-                    filter=(
-                        "o_orderdate >= date'1993-10-01' "
-                        "AND o_orderdate < date'1994-01-01'"
-                    ),
-                    need=["o_custkey"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_name", "c_acctbal"],
-                            children=[
-                                Node(
-                                    relation="nation",
-                                    parent_join=("c_nationkey", "n_nationkey"),
-                                    need=["n_name"],
-                                )
-                            ],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            filter="l_returnflag = 'R'",
-                            need=["l_extendedprice", "l_discount"],
-                        ),
-                    ],
-                ),
-                group_by=["o_custkey", "c_name", "c_acctbal", "n_name"],
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                select=[
-                    ("o_custkey", "c_custkey"),
-                    ("c_name", "c_name"),
-                    ("revenue", "revenue"),
-                    ("c_acctbal", "c_acctbal"),
-                    ("n_name", "n_name"),
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q12 — shipping modes and order priority (LA on l_shipmode)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q12",
-        tables=["orders", "lineitem"],
-        agg_class="LA",
-        paper_class="LA",
-        sql="""
+_derived("q12", "lineitem", "LA", "LA", """
 SELECT l_shipmode AS l_shipmode,
        sum(CASE WHEN o_orderpriority = '1-URGENT'
                   OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END)
@@ -719,57 +261,10 @@ WHERE o_orderkey = l_orderkey AND l_shipmode IN ('MAIL', 'SHIP')
   AND l_receiptdate >= date '1994-01-01'
   AND l_receiptdate < date '1995-01-01'
 GROUP BY l_shipmode
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q12",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipmode IN ('MAIL', 'SHIP') "
-                        "AND l_commitdate < l_receiptdate "
-                        "AND l_shipdate < l_commitdate "
-                        "AND l_receiptdate >= date'1994-01-01' "
-                        "AND l_receiptdate < date'1995-01-01'"
-                    ),
-                    need=["l_shipmode"],
-                    children=[
-                        Node(
-                            relation="orders",
-                            parent_join=("l_orderkey", "o_orderkey"),
-                            need=["o_orderpriority"],
-                        )
-                    ],
-                ),
-                group_by=["l_shipmode"],
-                aggregates=[
-                    (
-                        "sum(CASE WHEN o_orderpriority = '1-URGENT' "
-                        "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END)",
-                        "high_line_count",
-                    ),
-                    (
-                        "sum(CASE WHEN o_orderpriority <> '1-URGENT' "
-                        "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END)",
-                        "low_line_count",
-                    ),
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
 # q14 — promotion effect (scalar over a PK-FK join)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q14",
-        tables=["lineitem", "part"],
-        agg_class="GA_S",
-        paper_class="GA_S",
-        sql="""
+_derived("q14", "lineitem", "GA_S", "GA_S", """
 SELECT 100.00 * sum(CASE WHEN p_type = 'PROMO'
                          THEN l_extendedprice * (1 - l_discount)
                          ELSE 0 END)
@@ -777,39 +272,7 @@ SELECT 100.00 * sum(CASE WHEN p_type = 'PROMO'
 FROM lineitem, part
 WHERE l_partkey = p_partkey
   AND l_shipdate >= date '1995-09-01' AND l_shipdate < date '1995-10-01'
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q14",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipdate >= date'1995-09-01' "
-                        "AND l_shipdate < date'1995-10-01'"
-                    ),
-                    need=["l_extendedprice", "l_discount"],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            need=["p_type"],
-                        )
-                    ],
-                ),
-                aggregates=[
-                    (
-                        "sum(CASE WHEN p_type = 'PROMO' "
-                        "THEN l_extendedprice * (1 - l_discount) ELSE 0 END)",
-                        "promo_sum",
-                    ),
-                    ("sum(l_extendedprice * (1 - l_discount))", "total_sum"),
-                ],
-                select=[("100.00 * promo_sum / total_sum", "promo_revenue")],
-                agg_class="scalar",
-            )
-        ),
-    )
-)
+""")
 
 # ---------------------------------------------------------------------------
 # q17 — small-quantity-order revenue (correlated scalar subquery per part)
@@ -865,37 +328,20 @@ def _q17_tag(graph: TAGGraph, stats: bool = False):
     result = joined.agg(
         (F.sum("l_extendedprice") / F.lit(7.0)).alias("avg_yearly")
     )
-    return result, _merged(s1, s2)
+    return result, merged(s1, s2)
 
 
-_register(
-    Query(
-        name="q17",
-        tables=["lineitem", "part"],
-        agg_class="GA_S",
-        paper_class="Corr",
-        sql="""
+_hand("q17", "GA_S", "Corr", """
 SELECT sum(l_extendedprice) / 7.0 AS avg_yearly
 FROM lineitem, part
 WHERE p_partkey = l_partkey
   AND p_brand = 'Brand#23' AND p_container = 'MED BOX'
   AND l_quantity < (SELECT 0.2 * avg(l2.l_quantity) FROM lineitem l2
                     WHERE l2.l_partkey = p_partkey)
-""",
-        tag=_q17_tag,
-    )
-)
+""", _q17_tag)
 
-# ---------------------------------------------------------------------------
 # q18 — large volume customers (LA per order + HAVING)
-# ---------------------------------------------------------------------------
-_register(
-    Query(
-        name="q18",
-        tables=["customer", "orders", "lineitem"],
-        agg_class="LA",
-        paper_class="LA",
-        sql="""
+_derived("q18", "orders", "LA", "LA", """
 SELECT c_name AS c_name, c_custkey AS c_custkey, o_orderkey AS o_orderkey,
        o_orderdate AS o_orderdate, o_totalprice AS o_totalprice,
        sum(l_quantity) AS sum_qty
@@ -903,104 +349,22 @@ FROM customer, orders, lineitem
 WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey
 GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
 HAVING sum(l_quantity) > 212
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q18",
-                root=Node(
-                    relation="orders",
-                    need=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-                    children=[
-                        Node(
-                            relation="customer",
-                            parent_join=("o_custkey", "c_custkey"),
-                            need=["c_name"],
-                        ),
-                        Node(
-                            relation="lineitem",
-                            parent_join=("o_orderkey", "l_orderkey"),
-                            need=["l_quantity"],
-                        ),
-                    ],
-                ),
-                group_by=[
-                    "c_name",
-                    "o_custkey",
-                    "o_orderkey",
-                    "o_orderdate",
-                    "o_totalprice",
-                ],
-                aggregates=[("sum(l_quantity)", "sum_qty")],
-                having="sum_qty > 212",
-                select=[
-                    ("c_name", "c_name"),
-                    ("o_custkey", "c_custkey"),
-                    ("o_orderkey", "o_orderkey"),
-                    ("o_orderdate", "o_orderdate"),
-                    ("o_totalprice", "o_totalprice"),
-                    ("sum_qty", "sum_qty"),
-                ],
-                agg_class="LA",
-            )
-        ),
-    )
-)
+""")
 
-# ---------------------------------------------------------------------------
-# q19 — discounted revenue (scalar; disjunctive multi-relation predicate)
-# ---------------------------------------------------------------------------
-_Q19_DISJUNCTION = """
-(
-  (p_brand = 'Brand#12' AND p_container IN ('SM CASE', 'SM BOX')
-   AND l_quantity >= 1 AND l_quantity <= 11 AND p_size BETWEEN 1 AND 5)
-  OR
-  (p_brand = 'Brand#23' AND p_container IN ('MED BAG', 'MED BOX')
-   AND l_quantity >= 10 AND l_quantity <= 20 AND p_size BETWEEN 1 AND 10)
-  OR
-  (p_brand = 'Brand#34' AND p_container IN ('LG CASE', 'LG BOX')
-   AND l_quantity >= 20 AND l_quantity <= 30 AND p_size BETWEEN 1 AND 15)
-)
-"""
-_register(
-    Query(
-        name="q19",
-        tables=["lineitem", "part"],
-        agg_class="GA_S",
-        paper_class="GA_S",
-        sql=f"""
+# q19 — discounted revenue (scalar; disjunctive multi-relation predicate,
+# whose per-relation implications are pushed to lineitem and part)
+_derived("q19", "lineitem", "GA_S", "GA_S", """
 SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
 FROM lineitem, part
 WHERE p_partkey = l_partkey AND l_shipmode IN ('AIR', 'REG AIR')
   AND l_shipinstruct = 'DELIVER IN PERSON'
-  AND {_Q19_DISJUNCTION}
-""",
-        tag=_spec_impl(
-            QuerySpec(
-                name="q19",
-                root=Node(
-                    relation="lineitem",
-                    filter=(
-                        "l_shipmode IN ('AIR', 'REG AIR') "
-                        "AND l_shipinstruct = 'DELIVER IN PERSON'"
-                    ),
-                    need=["l_quantity", "l_extendedprice", "l_discount"],
-                    children=[
-                        Node(
-                            relation="part",
-                            parent_join=("l_partkey", "p_partkey"),
-                            need=["p_brand", "p_container", "p_size"],
-                        )
-                    ],
-                ),
-                post_filter=_Q19_DISJUNCTION,
-                aggregates=[
-                    ("sum(l_extendedprice * (1 - l_discount))", "revenue")
-                ],
-                agg_class="scalar",
-            )
-        ),
-    )
-)
+  AND ((p_brand = 'Brand#12' AND p_container IN ('SM CASE', 'SM BOX')
+        AND l_quantity >= 1 AND l_quantity <= 11 AND p_size BETWEEN 1 AND 5)
+    OR (p_brand = 'Brand#23' AND p_container IN ('MED BAG', 'MED BOX')
+        AND l_quantity >= 10 AND l_quantity <= 20 AND p_size BETWEEN 1 AND 10)
+    OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE', 'LG BOX')
+        AND l_quantity >= 20 AND l_quantity <= 30 AND p_size BETWEEN 1 AND 15))
+""")
 
 # ---------------------------------------------------------------------------
 # q20 — potential part promotion (nested correlated subqueries)
@@ -1084,16 +448,10 @@ def _q20_tag(graph: TAGGraph, stats: bool = False):
     ).select(
         F.col("s_name").alias("s_name"), F.col("s_acctbal").alias("s_acctbal")
     )
-    return result, _merged(s1, s2, s3)
+    return result, merged(s1, s2, s3)
 
 
-_register(
-    Query(
-        name="q20",
-        tables=["supplier", "nation", "partsupp", "part", "lineitem"],
-        agg_class="none",
-        paper_class="Corr",
-        sql="""
+_hand("q20", "none", "Corr", """
 SELECT s_name AS s_name, s_acctbal AS s_acctbal
 FROM supplier, nation
 WHERE s_suppkey IN (
@@ -1106,10 +464,7 @@ WHERE s_suppkey IN (
             AND l_shipdate >= date '1994-01-01'
             AND l_shipdate < date '1995-01-01'))
   AND s_nationkey = n_nationkey AND n_name = 'CANADA'
-""",
-        tag=_q20_tag,
-    )
-)
+""", _q20_tag)
 
 
 def queries_by_class(paper_class: str) -> list[Query]:

@@ -41,6 +41,42 @@ def test_classes_cover_paper_groups():
     assert {"No agg", "Local", "Global", "Corr"} <= classes
 
 
-def test_eager_aggregation_query_uses_preagg():
-    q98 = QUERIES["ds_q98"]
-    assert q98 is not None  # preagg is validated by the oracle test above
+def _subtree(plan):
+    """``plan`` and every node below it (JVM logical-plan nodes)."""
+    yield plan
+    kids = plan.children()
+    for i in range(kids.size()):
+        yield from _subtree(kids.apply(i))
+
+
+def test_eager_aggregation_query_uses_preagg(tpcds_graph):
+    """ds_q98's TAG plan aggregates store_sales per item key *below* the
+    join with item (§7 eager group-by), not only after it."""
+    df, _ = QUERIES["ds_q98"].run_tag(tpcds_graph)
+    plan = df._jdf.queryExecution().analyzed()
+    item_joins = [
+        n for n in _subtree(plan)
+        if n.nodeName() == "Join"
+        and {"i_item_sk", "ss_item_sk"} <= set(
+            a.name() for a in _attrs(n.condition().get())
+        )
+    ]
+    assert len(item_joins) == 1
+    below = [
+        n for i in range(item_joins[0].children().size())
+        for n in _subtree(item_joins[0].children().apply(i))
+        if n.nodeName() == "Aggregate"
+    ]
+    assert below, "no aggregation below the item join"
+    (pre,) = below
+    assert "ss_item_sk" in pre.groupingExpressions().toString()
+    outputs = {a.name() for a in _seq(pre.output())}
+    assert "pre_rev" in outputs and not any(c.startswith("i_") for c in outputs)
+
+
+def _seq(jseq) -> list:
+    return [jseq.apply(i) for i in range(jseq.size())]
+
+
+def _attrs(expr) -> list:
+    return _seq(expr.references().toSeq())
