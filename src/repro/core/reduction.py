@@ -76,6 +76,11 @@ class RunStats:
     def supersteps(self) -> int:
         return len(self.traces)
 
+    def merge(self, other: "RunStats") -> None:
+        """Add the ledger of another TAG run that is part of the same plan."""
+        self.traces.extend(other.traces)
+        self.reduced_sizes.update(other.reduced_sizes)
+
     def total_messages(self, phase: str | None = None) -> int:
         return sum(
             t.messages or 0

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import duckdb
 
@@ -81,8 +82,12 @@ class QuerySpec:
     distinct: bool = False
     agg_class: str = "none"  # 'none' | 'LA' | 'GA' | 'scalar'
     # The answer is the fully reduced root alone (EXISTS / DISTINCT
-    # semijoins): run it with ``tagjoin.run_reduction_only``.
+    # semijoins): no collection phase.
     reduction_only: bool = False
+    # Decorrelated subqueries: each spec's result is inner-joined to the
+    # collection output on the (outer column, lookup column) pairs, before
+    # ``post_filter`` compares against it.
+    lookups: list[tuple["QuerySpec", list[JoinCond]]] = field(default_factory=list)
 
     @classmethod
     def from_sql(
@@ -123,11 +128,39 @@ class QuerySpec:
           way (q4), or under SELECT DISTINCT without aggregates (ds_q37),
           and the outputs read only the root, the answer is the reduced
           root: ``reduction_only`` is set.
+        - **Decorrelated subqueries** (§7, Kim's rewrite). A WHERE conjunct
+          may hold subqueries of two shapes. Each becomes a ``lookups``
+          spec, derived from its block by these same rules (nested blocks
+          recurse, q20), whose result is inner-joined to the collection
+          output before aggregation:
 
-        Anything else (other subqueries, WITH, explicit JOIN, ORDER BY,
-        a Cartesian product, an ambiguous column) raises ``ValueError``.
+          - ``col IN (SELECT y …)``, uncorrelated: the lookup is
+            ``DISTINCT y AS _sqN``, rooted at ``y``'s FROM item and joined
+            on ``col = _sqN``.
+          - A scalar subquery in a comparison, alone or under arithmetic
+            (q17's ``< (SELECT 0.2 * avg(…) …)``, ds_q6's
+            ``> 1.2 * (SELECT avg(…) …)``). It must aggregate and be
+            correlated by equalities ``inner.c = outer.c`` only, whose
+            inner columns belong to one FROM item: the lookup's root. The
+            lookup groups by those columns, named ``_sqN_kM``, and is
+            joined on the outer ones; its value is ``_sqN``, and the
+            comparison reading it goes to ``post_filter``. An outer tuple
+            with no inner group, or with a NULL key, finds no match and is
+            dropped, as SQL's comparison with NULL drops it.
+
+          An unqualified column that no FROM item of its block owns
+          resolves in the enclosing block, as in SQL (q17's
+          ``p_partkey``).
+
+        Refused with ``ValueError``: COUNT in a correlated scalar subquery
+        (an empty group counts 0, which the join cannot produce: the COUNT
+        bug), non-equality correlation, correlation columns on more than
+        one inner FROM item, an uncorrelated scalar subquery, correlated
+        IN, NOT IN, a subquery under OR, NOT or another operator or outside
+        WHERE; and WITH, explicit JOIN, ORDER BY, a Cartesian product, an
+        ambiguous column.
         """
-        spec = _Derivation(sql, root, prefixes).spec(name)
+        spec = _Derivation(_parse(sql), prefixes).spec(root, name)
         spec.validate()
         return spec
 
@@ -149,6 +182,8 @@ class QuerySpec:
             assert not self.group_by
         if self.agg_class in ("LA", "GA"):
             assert self.group_by
+        for lookup, _ in self.lookups:
+            lookup.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +191,18 @@ class QuerySpec:
 # ---------------------------------------------------------------------------
 
 _AGGREGATES = {"sum", "avg", "min", "max", "count", "count_star"}
+#: NULL-propagating operators a scalar subquery may sit under.
+_ARITHMETIC = {"+", "-", "*", "/"}
+_COMPARISONS = {
+    "COMPARE_EQUAL", "COMPARE_NOTEQUAL", "COMPARE_LESSTHAN",
+    "COMPARE_GREATERTHAN", "COMPARE_LESSTHANOREQUALTO",
+    "COMPARE_GREATERTHANOREQUALTO",
+}
+_DISTINCT = {"type": "DISTINCT_MODIFIER", "distinct_on_targets": []}
+_SUBQUERY_PLACES = (
+    "a subquery is supported only as `column IN (SELECT …)` or inside a "
+    "comparison under arithmetic, not under OR, NOT or other operators"
+)
 
 
 def _walk(value):
@@ -244,7 +291,7 @@ def _key(e) -> str:
     return json.dumps(e)
 
 
-def _check_block(sel: dict, in_exists: bool) -> None:
+def _check_block(sel: dict, subquery: bool) -> None:
     if sel.get("type") != "SELECT_NODE":
         raise ValueError(f"{sel.get('type')} is not supported, only SELECT blocks")
     if sel["cte_map"]["map"]:
@@ -254,36 +301,37 @@ def _check_block(sel: dict, in_exists: bool) -> None:
             raise ValueError(f"{m['type']} is not supported")
     if sel["group_sets"] not in ([], [list(range(len(sel["group_expressions"])))]):
         raise ValueError("GROUPING SETS / ROLLUP / CUBE are not supported")
-    if in_exists and (sel["group_expressions"] or sel["having"] or sel["modifiers"]):
-        raise ValueError("an EXISTS subquery may only join and filter")
+    if subquery and (sel["group_expressions"] or sel["having"] or sel["modifiers"]):
+        raise ValueError("a subquery may not use GROUP BY, HAVING or DISTINCT")
 
 
 class _Derivation:
-    """One run of :meth:`QuerySpec.from_sql`; see its docstring for the rules."""
+    """One SELECT block of :meth:`QuerySpec.from_sql`; see its docstring
+    for the rules. A subquery block is derived by its own instance, whose
+    ``outer`` is the enclosing block's."""
 
-    def __init__(self, sql: str, root: str, prefixes: Mapping[str, str]):
+    def __init__(
+        self,
+        sel: dict,
+        prefixes: Mapping[str, str],
+        outer: "_Derivation | None" = None,
+        ids: Iterator[int] | None = None,
+    ):
         self.prefixes = prefixes
-        self.sel = _parse(sql)
-        _check_block(self.sel, in_exists=False)
+        self.sel = sel
+        self.outer = outer
+        self.ids = ids or itertools.count()  # numbers _sqN across all blocks
+        _check_block(sel, subquery=outer is not None)
         self.tables: dict[str, str] = {}  # FROM item name -> table
         self.exists: set[str] = set()  # FROM items of EXISTS subqueries
-        edges, self.filters, residual = self._classify(
-            self._block(self.sel, in_exists=False)
+        # Correlation equalities (inner column ref, outer (FROM item, column)).
+        self.correlation: list[tuple[dict, tuple[str, str]]] = []
+        self.subqueries: list[tuple[int, dict]] = []  # conjuncts holding one
+        self.generated: set[str] = set()  # lookup columns (_sqN)
+        edges, self.filters, self.residual = self._classify(
+            self._block(sel, in_exists=False)
         )
-        self.adj = self._spanning_tree(edges, residual)
-        if root not in self.tables:
-            raise ValueError(f"root {root!r} is not a FROM item")
-        self.root = root
-        self.nodes: dict[str, Node] = {}
-        # (child, join column) -> (parent, join column) that replaces it.
-        self.merged: dict[tuple[str, str], tuple[str, str]] = {}
-        self._build(root, None)
-        self.need: dict[str, list[str]] = {}  # FROM item -> output columns
-        residual = [c for _, c in sorted(residual, key=lambda ic: ic[0])]
-        self.post_filter = (
-            self._render(self._rewrite(_junction("AND", residual), self._out))
-            if residual else None
-        )
+        self.adj = self._spanning_tree(edges, self.residual)
 
     # -- join tree -----------------------------------------------------------
 
@@ -292,6 +340,12 @@ class _Derivation:
         and (index, residual) pairs."""
         edges, filters, residual = [], {o: [] for o in self.tables}, []
         for i, c in enumerate(conjuncts):
+            if any(d.get("class") == "SUBQUERY" for d in _walk(c)):
+                self.subqueries.append((i, c))
+                continue
+            if self.outer and any(self._owner(d) is None for d in self._columns(c)):
+                self._correlate(c)
+                continue
             rels = self._rels(c)
             if len(rels) == 2 and c["type"] == "COMPARE_EQUAL" and all(
                 c[s]["class"] == "COLUMN_REF" for s in ("left", "right")
@@ -362,7 +416,7 @@ class _Derivation:
         for c in _conjuncts(sel["where_clause"]):
             if c["class"] == "SUBQUERY" and c["subquery_type"] == "EXISTS":
                 sub = c["subquery"]["node"]
-                _check_block(sub, in_exists=True)
+                _check_block(sub, subquery=True)
                 out += self._block(sub, in_exists=True)
             else:
                 out.append(c)
@@ -390,23 +444,36 @@ class _Derivation:
             if d.get("class") == "COLUMN_REF":
                 yield d
 
-    def _resolve(self, ref: dict) -> tuple[str, str]:
-        """(FROM item, column) of a column reference."""
+    def _owner(self, ref: dict) -> str | None:
+        """The FROM item of this block that a column reference names."""
         *qual, col = ref["column_names"]
+        if len(qual) > 1:
+            raise ValueError(f"unknown qualifier in {'.'.join(ref['column_names'])}")
         if qual:
-            if len(qual) != 1 or qual[0] not in self.tables:
-                raise ValueError(f"unknown qualifier in {'.'.join(ref['column_names'])}")
-            return qual[0], col
+            return qual[0] if qual[0] in self.tables else None
         owners = [o for o, t in self.tables.items() if col.startswith(self.prefixes[t] + "_")]
-        if len(owners) != 1:
+        if len(owners) > 1:
             raise ValueError(f"column {col!r} matches FROM items {owners}")
-        return owners[0], col
+        return owners[0] if owners else None
+
+    def _resolve(self, ref: dict) -> tuple[str | None, str]:
+        """(FROM item, column) of a column reference; a lookup column has
+        no FROM item."""
+        col = ref["column_names"][-1]
+        if ref["column_names"] == [col] and col in self.generated:
+            return None, col
+        occ = self._owner(ref)
+        if occ is None:
+            raise ValueError(f"unknown column {'.'.join(ref['column_names'])}")
+        return occ, col
 
     def _rels(self, e: dict) -> set[str]:
         return {self._resolve(d)[0] for d in self._columns(e)}
 
-    def _out(self, occ: str, col: str) -> str:
+    def _out(self, occ: str | None, col: str) -> str:
         """Collection-output name of ``occ.col``; records it as needed."""
+        if occ is None:
+            return col
         while (occ, col) in self.merged:
             occ, col = self.merged[(occ, col)]
         need = self.need.setdefault(occ, [])
@@ -450,7 +517,28 @@ class _Derivation:
 
     # -- outputs -------------------------------------------------------------
 
-    def spec(self, name: str) -> QuerySpec:
+    def spec(self, root: str, name: str) -> QuerySpec:
+        """The spec of this block, rooted at FROM item ``root``."""
+        if root not in self.tables:
+            raise ValueError(f"root {root!r} is not a FROM item")
+        self.root = root
+        self.nodes: dict[str, Node] = {}
+        # (child, join column) -> (parent, join column) that replaces it.
+        self.merged: dict[tuple[str, str], tuple[str, str]] = {}
+        self._build(root, None)
+        self.need: dict[str, list[str]] = {}  # FROM item -> output columns
+        self.lookups: list[tuple[QuerySpec, list[JoinCond]]] = []
+        residual = list(self.residual)
+        for i, c in self.subqueries:
+            rest = self._decorrelate(c)
+            if rest is not None:
+                residual.append((i, rest))
+        residual = [c for _, c in sorted(residual, key=lambda ic: ic[0])]
+        post_filter = (
+            self._render(self._rewrite(_junction("AND", residual), self._out))
+            if residual else None
+        )
+
         sel = self.sel
         aliases = []
         for it in sel["select_list"]:
@@ -467,7 +555,8 @@ class _Derivation:
         out = QuerySpec(
             name=name,
             root=self.nodes[self.root],
-            post_filter=self.post_filter,
+            post_filter=post_filter,
+            lookups=self.lookups,
             distinct=any(m["type"] == "DISTINCT_MODIFIER" for m in sel["modifiers"]),
         )
         if not has_agg:
@@ -493,9 +582,95 @@ class _Derivation:
             out.reduction_only = bool(
                 out.distinct and not has_agg and root_only and others
             )
-        if out.reduction_only and out.root.alias:
-            raise ValueError("a reduction-only root must not be aliased")
         return out
+
+    # -- subqueries ----------------------------------------------------------
+
+    def _correlate(self, c: dict) -> None:
+        """Record a subquery block's conjunct ``inner column = outer column``."""
+        sides = [c["left"], c["right"]] if c["type"] == "COMPARE_EQUAL" else []
+        inner = [s for s in sides if s["class"] == "COLUMN_REF" and self._owner(s)]
+        outer = [s for s in sides if s["class"] == "COLUMN_REF" and not self._owner(s)]
+        if len(inner) != 1 or len(outer) != 1:
+            raise ValueError(
+                "a subquery may be correlated only by equalities between an "
+                "inner and an outer column"
+            )
+        self.correlation.append((inner[0], self.outer._resolve(outer[0])))
+
+    def _decorrelate(self, c: dict) -> dict | None:
+        """Make the subqueries of WHERE conjunct ``c`` lookups; what is left
+        of ``c`` for ``post_filter`` (nothing, for IN)."""
+        if (
+            c["class"] == "SUBQUERY" and c["subquery_type"] == "ANY"
+            and c["comparison_type"] == "COMPARE_EQUAL"
+            and c["child"]["class"] == "COLUMN_REF"
+        ):
+            self._lookup(c["subquery"]["node"], in_col=self._resolve(c["child"]))
+            return None
+        if c["type"] not in _COMPARISONS:
+            raise ValueError(_SUBQUERY_PLACES)
+
+        def lookup_column(e: dict) -> dict:
+            if e["class"] == "SUBQUERY" and e["subquery_type"] == "SCALAR":
+                return _colref(self._lookup(e["subquery"]["node"]))
+            if e["class"] == "FUNCTION" and e["function_name"] in _ARITHMETIC:
+                return dict(e, children=[lookup_column(x) for x in e["children"]])
+            if any(d.get("class") == "SUBQUERY" for d in _walk(e)):
+                raise ValueError(_SUBQUERY_PLACES)
+            return e
+
+        return dict(c, left=lookup_column(c["left"]), right=lookup_column(c["right"]))
+
+    def _lookup(self, sub: dict, in_col: tuple[str, str] | None = None) -> str:
+        """Derive subquery block ``sub`` as a lookup: the DISTINCT values
+        for ``in_col``'s IN list, else a scalar subquery's value per group
+        of its correlation columns. Returns the value's column name."""
+        if len(sub["select_list"]) != 1:
+            raise ValueError("a subquery must select exactly one value")
+        (item,) = sub["select_list"]
+        name = f"_sq{next(self.ids)}"
+        inner = _Derivation(sub, self.prefixes, outer=self, ids=self.ids)
+        if in_col is not None:
+            if inner.correlation:
+                raise ValueError("a correlated IN subquery is not supported")
+            if item["class"] != "COLUMN_REF":
+                raise ValueError("an IN subquery must select a column")
+            root = inner._resolve(item)[0]
+            inner.sel = dict(sub, select_list=[dict(item, alias=name)],
+                             modifiers=[_DISTINCT])
+            on = [(self._out(*in_col), name)]
+        else:
+            aggs = {d["function_name"] for d in _walk(item) if _is_agg(d)}
+            if not inner.correlation:
+                raise ValueError("an uncorrelated scalar subquery is not supported")
+            if not aggs:
+                raise ValueError("a correlated scalar subquery must aggregate")
+            if aggs & {"count", "count_star"}:
+                raise ValueError(
+                    "COUNT in a correlated scalar subquery is not supported: an "
+                    "outer tuple without inner rows must compare with 0, and the "
+                    "lookup join drops it (the COUNT bug)"
+                )
+            keys = [ref for ref, _ in inner.correlation]
+            roots = {inner._resolve(k)[0] for k in keys}
+            if len(roots) != 1:
+                raise ValueError(
+                    f"the correlation columns span inner FROM items {sorted(roots)}"
+                )
+            (root,) = roots
+            inner.sel = dict(
+                sub,
+                select_list=[dict(k, alias=f"{name}_k{m}") for m, k in enumerate(keys)]
+                + [dict(item, alias=name)],
+                group_expressions=keys,
+                group_sets=[list(range(len(keys)))],
+            )
+            on = [(self._out(*o), f"{name}_k{m}")
+                  for m, (_, o) in enumerate(inner.correlation)]
+        self.lookups.append((inner.spec(root, name), on))
+        self.generated.add(name)
+        return name
 
     def _aggregate(self, out: QuerySpec, items, aliases, groups, having) -> None:
         """Fill ``group_by`` / ``aggregates`` / ``select`` / ``having``: the

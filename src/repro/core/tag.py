@@ -88,31 +88,29 @@ class TAGGraph:
         spark: SparkSession,
         relations: dict[str, DataFrame],
         attributes: dict[str, list[str]] | None = None,
-        cache: bool = True,
     ) -> "TAGGraph":
         """Build the TAG graph from relational DataFrames.
 
         ``attributes`` optionally overrides, per relation, which columns are
         materialised as attribute vertices (default:
-        :func:`default_attribute_columns`).
+        :func:`default_attribute_columns`). Tuple and edge tables are
+        cached: ``monotonically_increasing_id`` depends on partitioning, so
+        recomputed vertex ids could disagree with the edges derived from
+        them.
         """
         tuples: dict[str, DataFrame] = {}
         edges: dict[str, dict[str, DataFrame]] = {}
         for name, df in relations.items():
-            t = df.withColumn(TID, F.monotonically_increasing_id())
-            if cache:
-                t = t.cache()
+            t = df.withColumn(TID, F.monotonically_increasing_id()).cache()
             tuples[name] = t
             cols = (attributes or {}).get(name) or default_attribute_columns(df)
             edges[name] = {}
             for col in cols:
-                e = (
+                edges[name][col] = (
                     t.select(F.col(TID), F.col(col).alias(VAL))
                     .where(F.col(VAL).isNotNull())
+                    .cache()
                 )
-                if cache:
-                    e = e.cache()
-                edges[name][col] = e
         return cls(spark, tuples, edges)
 
     def edge(self, relation: str, col: str) -> DataFrame:

@@ -2,7 +2,8 @@
 
 Pipeline: join tree → TAG plan (§5.1) → GenSteps label list (Algorithm 1) →
 reduction supersteps (UP+DOWN, Lemma 5.1) → collection (bottom-up joins) →
-residual predicate → aggregation (LA / GA / scalar, §7).
+lookup joins (decorrelated subqueries) → residual predicate → aggregation
+(LA / GA / scalar, §7).
 
 Single-relation specs take the scan path (no traversal: attribute vertices
 apply the predicate, tuple vertices aggregate — supersteps 0).
@@ -21,8 +22,8 @@ from pyspark.sql import functions as F
 from .collection import node_frame
 from .plan import build_plan, gensteps
 from .reduction import RunStats, reduce_phase
-from .spec import QuerySpec
-from .tag import TAGGraph
+from .spec import Node, QuerySpec, qualify
+from .tag import TID, TAGGraph
 
 
 def finalize(df: DataFrame, spec: QuerySpec) -> DataFrame:
@@ -58,50 +59,48 @@ def finalize(df: DataFrame, spec: QuerySpec) -> DataFrame:
 def run_spec(
     graph: TAGGraph, spec: QuerySpec, stats: bool = False
 ) -> tuple[DataFrame, RunStats]:
-    """Evaluate ``spec`` with TAG-join; returns (result, run statistics)."""
+    """Evaluate ``spec`` with TAG-join; returns (result, run statistics).
+
+    A ``reduction_only`` spec (EXISTS / IN-subquery semijoins) skips
+    collection: the reduced root holds exactly the root tuples with join
+    partners in every subtree, each once (no collection-phase
+    multiplicities). Each lookup (a decorrelated subquery, §7) is evaluated
+    the same way, set-at-a-time for all outer tuples, and inner-joined to
+    the frame before ``finalize``.
+    """
     spec.validate()
     rs = RunStats() if stats else None
     nodes = spec.nodes()
+    root = spec.root
 
-    if len(nodes) == 1 and nodes[0].preagg is None:
+    if len(nodes) == 1 and root.preagg is None:
         # Scan path: predicate at attribute vertices, aggregate tuple data.
-        n = nodes[0]
-        df = graph.tuples[n.relation]
-        if n.filter:
-            df = df.where(n.filter)
-        cols = n.need or [c for c in df.columns if not c.startswith("__")]
-        df = df.select(cols)
+        df = graph.tuples[root.relation]
+        df = _root_frame(df.where(root.filter) if root.filter else df, root)
     else:
-        plan = build_plan(spec.root)
+        plan = build_plan(root)
         steps = gensteps(plan)
         reduced = reduce_phase(graph, nodes, steps, rs)
-        df = node_frame(graph, spec.root, reduced, rs)
+        if spec.reduction_only:
+            tuples = graph.tuples[root.relation]
+            df = _root_frame(tuples.join(reduced[root.name], on=TID), root)
+        else:
+            df = node_frame(graph, root, reduced, rs)
+
+    for lookup, on in spec.lookups:
+        ldf, lrs = run_spec(graph, lookup, stats=stats)
+        df = df.join(ldf, on=[F.col(o) == F.col(k) for o, k in on])
+        if rs is not None:
+            rs.merge(lrs)
 
     out = finalize(df, spec)
     return out, (rs or RunStats())
 
 
-def run_reduction_only(
-    graph: TAGGraph, spec: QuerySpec, stats: bool = False
-) -> tuple[DataFrame, RunStats]:
-    """Reduction phases only: returns the fully reduced *root* relation.
-
-    This is the TAG-join expression of EXISTS / IN-subquery (semijoin)
-    queries: the reduced root contains exactly the root tuples with join
-    partners in every subtree, each exactly once (no collection-phase
-    multiplicities). Aggregation/selection from ``spec`` still applies.
-    """
-    spec.validate()
-    rs = RunStats() if stats else None
-    nodes = spec.nodes()
-    plan = build_plan(spec.root)
-    steps = gensteps(plan)
-    reduced = reduce_phase(graph, nodes, steps, rs)
-    root = spec.root
-    df = graph.tuples[root.relation].join(reduced[root.name], on="__tid")
+def _root_frame(df: DataFrame, root: Node) -> DataFrame:
+    """The root tuples' needed columns, named as collection names them."""
     cols = root.need or [c for c in df.columns if not c.startswith("__")]
-    df = df.select(cols)
-    return finalize(df, spec), (rs or RunStats())
+    return df.select([F.col(c).alias(qualify(root, c)) for c in cols])
 
 
 def scalar_lookup(df: DataFrame, col: str) -> float:

@@ -5,7 +5,7 @@ Each :class:`Query` carries SQL that runs verbatim on Spark SQL and DuckDB
 :class:`~repro.core.tag.TAGGraph`. Most queries derive their TAG spec from
 that SQL and a named root (:meth:`Query.derived`, built on
 :meth:`QuerySpec.from_sql`). The rest hand-write the plan their SQL does
-not state: decorrelated subqueries, a channel union, an eager group-by.
+not state: a channel union, an eager group-by.
 Output columns are aliased identically on all paths so the DuckDB oracle
 can diff them.
 """
@@ -19,7 +19,7 @@ from pyspark.sql import DataFrame
 from .core.reduction import RunStats
 from .core.spec import QuerySpec, sql_tables
 from .core.tag import TAGGraph
-from .core.tagjoin import run_reduction_only, run_spec
+from .core.tagjoin import run_spec
 
 TagImpl = Callable[[TAGGraph, bool], tuple[DataFrame, RunStats]]
 
@@ -56,21 +56,12 @@ class Query:
         spec = QuerySpec.from_sql(sql, root, prefixes, name=name)
         spec.agg_class = "scalar" if agg_class == "GA_S" else agg_class
         spec.validate()
-        run = run_reduction_only if spec.reduction_only else run_spec
 
         def tag(graph: TAGGraph, stats: bool = False):
-            return run(graph, spec, stats=stats)
+            return run_spec(graph, spec, stats=stats)
 
         return cls(name, sql, agg_class, paper_class, tag=tag, spec=spec)
 
     def run_tag(self, graph: TAGGraph, stats: bool = False):
         return self.tag(graph, stats)
 
-
-def merged(*stats_list: RunStats) -> RunStats:
-    """One RunStats for a plan made of several TAG runs."""
-    out = RunStats()
-    for s in stats_list:
-        out.traces.extend(s.traces)
-        out.reduced_sizes.update(s.reduced_sizes)
-    return out

@@ -14,9 +14,9 @@ more per evaluation class of the paper's Tables 5/6/11–13 (§8.4):
 Names anchor to the TPC-DS query each one emulates; bodies are simplified
 to the TPC-DS-lite schema (see DESIGN.md substitutions). Queries derive
 their TAG spec from their own SQL and a root
-(:meth:`repro.query.Query.derived`), except ds_q6 (decorrelated), ds_q33
-(channel union) and ds_q98 (eager group-by, a plan choice its SQL does not
-state).
+(:meth:`repro.query.Query.derived`), ds_q6 through the deriver's subquery
+decorrelation. Only ds_q33 (channel union) and ds_q98 (eager group-by, a
+plan choice its SQL does not state) hand-write their plans.
 """
 from __future__ import annotations
 
@@ -24,10 +24,11 @@ from functools import reduce as _reduce
 
 from pyspark.sql import functions as F
 
+from ..core.reduction import RunStats
 from ..core.spec import Node, Preagg, QuerySpec
 from ..core.tag import TAGGraph
 from ..core.tagjoin import run_spec
-from ..query import Query, merged
+from ..query import Query
 
 #: TPC-DS column naming: every column of a table starts with its prefix.
 PREFIXES = {
@@ -128,11 +129,11 @@ _Q33_CHANNELS = [
 def _q33_tag(graph: TAGGraph, stats: bool = False):
     """Multi-fact union with per-channel eager aggregation (§7): each fact
     table aggregates down to one row per manufacturer before the union."""
-    frames, all_stats = [], []
+    frames, all_stats = [], RunStats()
     for spec in _Q33_CHANNELS:
         df, s = run_spec(graph, spec, stats=stats)
         frames.append(df)
-        all_stats.append(s)
+        all_stats.merge(s)
     union = _reduce(lambda a, b: a.unionByName(b), frames)
     out = (
         union.groupBy("i_manufact_id")
@@ -142,7 +143,7 @@ def _q33_tag(graph: TAGGraph, stats: bool = False):
             F.col("total_sales").alias("total_sales"),
         )
     )
-    return out, merged(*all_stats)
+    return out, all_stats
 
 
 _hand("ds_q33", "LA", "Local", """
@@ -254,66 +255,8 @@ WHERE i_manufact_id = 77 AND i_item_sk = cs_item_sk
 # Correlated subquery
 # ---------------------------------------------------------------------------
 
-_Q6_OUTER = QuerySpec(
-    name="ds_q6_outer",
-    root=Node(
-        relation="store_sales",
-        children=[
-            Node(
-                relation="customer",
-                parent_join=("ss_customer_sk", "c_customer_sk"),
-                children=[
-                    Node(
-                        relation="customer_address",
-                        parent_join=("c_current_addr_sk", "ca_address_sk"),
-                        need=["ca_state"],
-                    )
-                ],
-            ),
-            Node(
-                relation="date_dim",
-                parent_join=("ss_sold_date_sk", "d_date_sk"),
-                filter="d_year = 2001 AND d_moy = 1",
-            ),
-            Node(
-                relation="item",
-                parent_join=("ss_item_sk", "i_item_sk"),
-                need=["i_current_price", "i_category"],
-            ),
-        ],
-    ),
-    select=[
-        ("ca_state", "ca_state"),
-        ("i_current_price", "i_current_price"),
-        ("i_category", "i_category"),
-    ],
-)
-
-_Q6_INNER = QuerySpec(
-    name="ds_q6_inner",
-    root=Node(relation="item", need=["i_category", "i_current_price"]),
-    group_by=["i_category"],
-    aggregates=[("avg(i_current_price)", "cat_avg")],
-    select=[("i_category", "cat"), ("cat_avg", "cat_avg")],
-    agg_class="LA",
-)
-
-
-def _q6_tag(graph: TAGGraph, stats: bool = False):
-    outer, s1 = run_spec(graph, _Q6_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q6_INNER, stats=stats)
-    joined = outer.join(inner, on=outer.i_category == inner.cat).where(
-        F.col("i_current_price") > 1.2 * F.col("cat_avg")
-    )
-    result = (
-        joined.groupBy("ca_state")
-        .agg(F.count("*").alias("cnt"))
-        .select(F.col("ca_state").alias("ca_state"), F.col("cnt").alias("cnt"))
-    )
-    return result, merged(s1, s2)
-
-
-_hand("ds_q6", "GA", "Corr", """
+# The per-category average is one grouped lookup for all outer tuples.
+_derived("ds_q6", "store_sales", "GA", "Corr", """
 SELECT ca_state AS ca_state, count(*) AS cnt
 FROM customer_address, customer, store_sales, date_dim, item i
 WHERE ca_address_sk = c_current_addr_sk AND c_customer_sk = ss_customer_sk
@@ -322,8 +265,4 @@ WHERE ca_address_sk = c_current_addr_sk AND c_customer_sk = ss_customer_sk
   AND i.i_current_price > 1.2 * (SELECT avg(j.i_current_price) FROM item j
                                  WHERE j.i_category = i.i_category)
 GROUP BY ca_state
-""", _q6_tag)
-
-
-def queries_by_class(paper_class: str) -> list[Query]:
-    return [q for q in QUERIES.values() if q.paper_class == paper_class]
+""")

@@ -1,2 +1,2 @@
 """TPC-H-lite query workload: TAG-join spec + identical SQL per query."""
-from .queries import QUERIES, Query, queries_by_class  # noqa: F401
+from .queries import QUERIES, Query  # noqa: F401

@@ -7,18 +7,13 @@ paper's aggregation classes (§7): LA (local aggregation), GA (global), GA_S
 Omitted: q8, q11, q13, q15, q16, q21, q22 (outer/anti-join patterns and
 view-style queries beyond the representative set).
 
-Every query but the correlated ones derives its TAG spec from its own SQL
-and a root (:meth:`repro.query.Query.derived`); q2, q17 and q20 hand-write
-their decorrelated plans.
+Every query derives its TAG spec from its own SQL and a root
+(:meth:`repro.query.Query.derived`); the correlated ones (q2, q17, q20)
+through the deriver's subquery decorrelation.
 """
 from __future__ import annotations
 
-from pyspark.sql import functions as F
-
-from ..core.spec import Node, QuerySpec
-from ..core.tag import TAGGraph
-from ..core.tagjoin import run_spec
-from ..query import Query, merged
+from ..query import Query
 
 #: TPC-H column naming: every column of a table starts with its prefix.
 PREFIXES = {
@@ -31,10 +26,6 @@ QUERIES: dict[str, Query] = {}
 
 def _derived(name: str, root: str, agg_class: str, paper_class: str, sql: str):
     QUERIES[name] = Query.derived(name, sql, root, PREFIXES, agg_class, paper_class)
-
-
-def _hand(name: str, agg_class: str, paper_class: str, sql: str, tag) -> None:
-    QUERIES[name] = Query(name, sql, agg_class, paper_class, tag=tag)
 
 
 # q1 — pricing summary report: single-table scan, multi-attribute group by
@@ -53,100 +44,9 @@ WHERE l_shipdate <= date '1998-09-02'
 GROUP BY l_returnflag, l_linestatus
 """)
 
-# ---------------------------------------------------------------------------
-# q2 — minimum-cost supplier (correlated scalar subquery)
-# ---------------------------------------------------------------------------
-
-_Q2_OUTER = QuerySpec(
-    name="q2_outer",
-    root=Node(
-        relation="part",
-        filter="p_size = 15 AND p_type = 'STANDARD'",
-        need=["p_partkey"],
-        children=[
-            Node(
-                relation="partsupp",
-                parent_join=("p_partkey", "ps_partkey"),
-                need=["ps_supplycost"],
-                children=[
-                    Node(
-                        relation="supplier",
-                        parent_join=("ps_suppkey", "s_suppkey"),
-                        need=["s_acctbal", "s_name"],
-                        children=[
-                            Node(
-                                relation="nation",
-                                parent_join=("s_nationkey", "n_nationkey"),
-                                need=["n_name"],
-                                children=[
-                                    Node(
-                                        relation="region",
-                                        parent_join=("n_regionkey", "r_regionkey"),
-                                        filter="r_name = 'EUROPE'",
-                                    )
-                                ],
-                            )
-                        ],
-                    )
-                ],
-            )
-        ],
-    ),
-    select=[
-        ("s_acctbal", "s_acctbal"),
-        ("s_name", "s_name"),
-        ("n_name", "n_name"),
-        ("p_partkey", "p_partkey"),
-        ("ps_supplycost", "ps_supplycost"),
-    ],
-)
-
-_Q2_INNER = QuerySpec(
-    name="q2_inner",
-    root=Node(
-        relation="partsupp",
-        need=["ps_partkey", "ps_supplycost"],
-        children=[
-            Node(
-                relation="supplier",
-                parent_join=("ps_suppkey", "s_suppkey"),
-                children=[
-                    Node(
-                        relation="nation",
-                        parent_join=("s_nationkey", "n_nationkey"),
-                        children=[
-                            Node(
-                                relation="region",
-                                parent_join=("n_regionkey", "r_regionkey"),
-                                filter="r_name = 'EUROPE'",
-                            )
-                        ],
-                    )
-                ],
-            )
-        ],
-    ),
-    group_by=["ps_partkey"],
-    aggregates=[("min(ps_supplycost)", "min_cost")],
-    select=[("ps_partkey", "mk"), ("min_cost", "min_cost")],
-    agg_class="LA",
-)
-
-
-def _q2_tag(graph: TAGGraph, stats: bool = False):
-    """Decorrelated two-pass execution: the paper's forward-lookup subquery
-    strategy run set-at-a-time (all outer groups' subqueries in parallel)."""
-    outer, s1 = run_spec(graph, _Q2_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q2_INNER, stats=stats)
-    joined = outer.join(
-        inner,
-        on=(outer.p_partkey == inner.mk)
-        & (outer.ps_supplycost == inner.min_cost),
-    ).drop("mk", "min_cost")
-    return joined, merged(s1, s2)
-
-
-_hand("q2", "none", "Corr", """
+# q2 — minimum-cost supplier: a correlated scalar subquery, decorrelated
+# into a per-part MIN lookup (§7)
+_derived("q2", "p", "none", "Corr", """
 SELECT s_acctbal AS s_acctbal, s_name AS s_name, n_name AS n_name,
        p.p_partkey AS p_partkey, ps_supplycost AS ps_supplycost
 FROM part p, partsupp, supplier, nation, region
@@ -160,7 +60,7 @@ WHERE p.p_partkey = ps_partkey AND s_suppkey = ps_suppkey
       WHERE p.p_partkey = ps2.ps_partkey AND s2.s_suppkey = ps2.ps_suppkey
         AND s2.s_nationkey = n2.n_nationkey
         AND n2.n_regionkey = r2.r_regionkey AND r2.r_name = 'EUROPE')
-""", _q2_tag)
+""")
 
 # q3 — shipping priority (LA: group key determined by the order)
 _derived("q3", "orders", "LA", "LA", """
@@ -274,71 +174,15 @@ WHERE l_partkey = p_partkey
   AND l_shipdate >= date '1995-09-01' AND l_shipdate < date '1995-10-01'
 """)
 
-# ---------------------------------------------------------------------------
-# q17 — small-quantity-order revenue (correlated scalar subquery per part)
-# ---------------------------------------------------------------------------
-
-_Q17_OUTER = QuerySpec(
-    name="q17_outer",
-    root=Node(
-        relation="lineitem",
-        need=["l_quantity", "l_extendedprice", "l_partkey"],
-        children=[
-            Node(
-                relation="part",
-                parent_join=("l_partkey", "p_partkey"),
-                filter="p_brand = 'Brand#23' AND p_container = 'MED BOX'",
-            )
-        ],
-    ),
-    # p_partkey is merged into l_partkey by the join (equal values).
-    select=[
-        ("l_partkey", "p_partkey"),
-        ("l_quantity", "l_quantity"),
-        ("l_extendedprice", "l_extendedprice"),
-    ],
-)
-
-_Q17_INNER = QuerySpec(
-    name="q17_inner",
-    root=Node(
-        relation="lineitem",
-        need=["l_partkey", "l_quantity"],
-        children=[
-            Node(
-                relation="part",
-                parent_join=("l_partkey", "p_partkey"),
-                filter="p_brand = 'Brand#23' AND p_container = 'MED BOX'",
-            )
-        ],
-    ),
-    group_by=["l_partkey"],
-    aggregates=[("avg(l_quantity)", "avg_qty")],
-    select=[("l_partkey", "ik"), ("avg_qty", "avg_qty")],
-    agg_class="LA",
-)
-
-
-def _q17_tag(graph: TAGGraph, stats: bool = False):
-    outer, s1 = run_spec(graph, _Q17_OUTER, stats=stats)
-    inner, s2 = run_spec(graph, _Q17_INNER, stats=stats)
-    joined = outer.join(inner, on=outer.p_partkey == inner.ik).where(
-        F.col("l_quantity") < 0.2 * F.col("avg_qty")
-    )
-    result = joined.agg(
-        (F.sum("l_extendedprice") / F.lit(7.0)).alias("avg_yearly")
-    )
-    return result, merged(s1, s2)
-
-
-_hand("q17", "GA_S", "Corr", """
+# q17 — small-quantity-order revenue: a correlated scalar subquery per part
+_derived("q17", "lineitem", "GA_S", "Corr", """
 SELECT sum(l_extendedprice) / 7.0 AS avg_yearly
 FROM lineitem, part
 WHERE p_partkey = l_partkey
   AND p_brand = 'Brand#23' AND p_container = 'MED BOX'
   AND l_quantity < (SELECT 0.2 * avg(l2.l_quantity) FROM lineitem l2
                     WHERE l2.l_partkey = p_partkey)
-""", _q17_tag)
+""")
 
 # q18 — large volume customers (LA per order + HAVING)
 _derived("q18", "orders", "LA", "LA", """
@@ -366,92 +210,9 @@ WHERE p_partkey = l_partkey AND l_shipmode IN ('AIR', 'REG AIR')
         AND l_quantity >= 20 AND l_quantity <= 30 AND p_size BETWEEN 1 AND 15))
 """)
 
-# ---------------------------------------------------------------------------
-# q20 — potential part promotion (nested correlated subqueries)
-# ---------------------------------------------------------------------------
-
-_Q20_SUPPLIER = QuerySpec(
-    name="q20_supplier",
-    root=Node(
-        relation="supplier",
-        need=["s_suppkey", "s_name", "s_acctbal"],
-        children=[
-            Node(
-                relation="nation",
-                parent_join=("s_nationkey", "n_nationkey"),
-                filter="n_name = 'CANADA'",
-            )
-        ],
-    ),
-    select=[
-        ("s_suppkey", "s_suppkey"),
-        ("s_name", "s_name"),
-        ("s_acctbal", "s_acctbal"),
-    ],
-)
-
-_Q20_PS = QuerySpec(
-    name="q20_ps",
-    root=Node(
-        relation="partsupp",
-        need=["ps_partkey", "ps_suppkey", "ps_availqty"],
-        children=[
-            Node(
-                relation="part",
-                parent_join=("ps_partkey", "p_partkey"),
-                filter="p_type = 'ECONOMY'",
-            )
-        ],
-    ),
-    select=[
-        ("ps_partkey", "ps_partkey"),
-        ("ps_suppkey", "ps_suppkey"),
-        ("ps_availqty", "ps_availqty"),
-    ],
-)
-
-_Q20_LI = QuerySpec(
-    name="q20_lineitem",
-    root=Node(
-        relation="lineitem",
-        filter=(
-            "l_shipdate >= date'1994-01-01' AND l_shipdate < date'1995-01-01'"
-        ),
-        need=["l_partkey", "l_suppkey", "l_quantity"],
-    ),
-    group_by=["l_partkey", "l_suppkey"],
-    aggregates=[("sum(l_quantity)", "qty_sum")],
-    select=[
-        ("l_partkey", "lk"),
-        ("l_suppkey", "ls"),
-        ("qty_sum", "qty_sum"),
-    ],
-    agg_class="GA",
-)
-
-
-def _q20_tag(graph: TAGGraph, stats: bool = False):
-    suppliers, s1 = run_spec(graph, _Q20_SUPPLIER, stats=stats)
-    ps, s2 = run_spec(graph, _Q20_PS, stats=stats)
-    li, s3 = run_spec(graph, _Q20_LI, stats=stats)
-    qualified = (
-        ps.join(
-            li,
-            on=(ps.ps_partkey == li.lk) & (ps.ps_suppkey == li.ls),
-        )
-        .where(F.col("ps_availqty") > 0.5 * F.col("qty_sum"))
-        .select("ps_suppkey")
-        .distinct()
-    )
-    result = suppliers.join(
-        qualified, on=suppliers.s_suppkey == qualified.ps_suppkey
-    ).select(
-        F.col("s_name").alias("s_name"), F.col("s_acctbal").alias("s_acctbal")
-    )
-    return result, merged(s1, s2, s3)
-
-
-_hand("q20", "none", "Corr", """
+# q20 — potential part promotion: IN over a block with its own IN and
+# correlated scalar subquery (nested decorrelation)
+_derived("q20", "supplier", "none", "Corr", """
 SELECT s_name AS s_name, s_acctbal AS s_acctbal
 FROM supplier, nation
 WHERE s_suppkey IN (
@@ -464,8 +225,5 @@ WHERE s_suppkey IN (
             AND l_shipdate >= date '1994-01-01'
             AND l_shipdate < date '1995-01-01'))
   AND s_nationkey = n_nationkey AND n_name = 'CANADA'
-""", _q20_tag)
+""")
 
-
-def queries_by_class(paper_class: str) -> list[Query]:
-    return [q for q in QUERIES.values() if q.paper_class == paper_class]

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import synth_data
+from repro import oracle, synth_data
 from repro.core.collection import _needed_columns
 from repro.core.spec import Node, QuerySpec, sql_tables
+from repro.core.tag import TAGGraph
+from repro.core.tagjoin import run_spec
 from repro.tpcds import queries as ds
 from repro.tpcds import synth as ds_synth
 from repro.tpch import queries as h
@@ -224,6 +226,155 @@ class TestReductionOnly:
             )
 
 
+class TestDecorrelation:
+    def test_scalar_subquery_with_its_factor_inside(self):
+        """q17: ``l_quantity < (SELECT 0.2 * avg(l2.l_quantity) …)``."""
+        spec = h.QUERIES["q17"].spec
+        assert spec.post_filter == "(l_quantity < _sq0)"
+        ((lookup, on),) = spec.lookups
+        # The outer p_partkey is merged into its parent's join column.
+        assert on == [("l_partkey", "_sq0_k0")]
+        assert tree(lookup) == [("l2", None, [])]
+        assert lookup.group_by == ["l2_l_partkey"]
+        assert lookup.aggregates == [("avg(l2_l_quantity)", "_agg0")]
+        assert lookup.select == [
+            ("l2_l_partkey", "_sq0_k0"), ("(0.2 * _agg0)", "_sq0")
+        ]
+
+    def test_scalar_subquery_with_its_factor_outside(self):
+        """ds_q6: ``i.i_current_price > 1.2 * (SELECT avg(…) …)``."""
+        spec = ds.QUERIES["ds_q6"].spec
+        assert spec.post_filter == "(i_i_current_price > (1.2 * _sq0))"
+        ((lookup, on),) = spec.lookups
+        assert on == [("i_i_category", "_sq0_k0")]
+        assert lookup.root.name == "j"
+        assert lookup.aggregates == [("avg(j_i_current_price)", "_sq0")]
+        assert lookup.select == [("j_i_category", "_sq0_k0"), ("_sq0", "_sq0")]
+
+    def test_lookup_root_owns_the_correlation_columns(self):
+        """q2: the inner block's tree is rooted at ps2, grouped by its key."""
+        ((lookup, on),) = h.QUERIES["q2"].spec.lookups
+        assert on == [("p_p_partkey", "_sq0_k0")]
+        assert tree(lookup)[0] == ("ps2", None, ["s2"])
+        assert lookup.group_by == ["ps2_ps_partkey"]
+        assert lookup.aggregates == [("min(ps2_ps_supplycost)", "_sq0")]
+
+    def test_in_is_a_distinct_lookup(self):
+        spec = derive(
+            "SELECT r_a AS a FROM r "
+            "WHERE r_x IN (SELECT s_x FROM s, t WHERE s_y = t_y AND t_z = 1)",
+            "r",
+        )
+        assert spec.post_filter is None
+        ((lookup, on),) = spec.lookups
+        assert on == [("r_x", "_sq0")]
+        assert tree(lookup) == [("s", None, ["t"]), ("t", ("s_y", "t_y"), [])]
+        assert lookup.select == [("s_x", "_sq0")]
+        # DISTINCT over the root's column: the IN list is a semijoin.
+        assert lookup.distinct and lookup.reduction_only
+
+    def test_in_wrapping_a_correlated_scalar_subquery(self):
+        """q20: names number across nested blocks."""
+        ((ps, on),) = h.QUERIES["q20"].spec.lookups
+        assert on == [("s_suppkey", "_sq0")]
+        assert ps.select == [("ps_suppkey", "_sq0")] and ps.distinct
+        assert ps.post_filter == "(ps_availqty > _sq2)"
+        (part, part_on), (li, li_on) = ps.lookups
+        assert part_on == [("ps_partkey", "_sq1")]
+        assert part.root.filter == "(p_type = 'ECONOMY')"
+        assert li_on == [("ps_partkey", "_sq2_k0"), ("ps_suppkey", "_sq2_k1")]
+        assert li.group_by == ["l_partkey", "l_suppkey"]
+        assert li.select[-1] == ("(0.5 * _agg0)", "_sq2")
+
+    def test_unowned_column_resolves_in_the_enclosing_block(self):
+        spec = derive(
+            "SELECT r_a AS a FROM r, s WHERE r_x = s_x "
+            "AND r_v > (SELECT max(t_v) FROM t WHERE t_k = s_k)",
+            "r",
+        )
+        ((lookup, on),) = spec.lookups
+        assert on == [("s_k", "_sq0_k0")]
+        assert "s_k" in _needed_columns(spec.root.children[0])
+        assert lookup.select == [("t_k", "_sq0_k0"), ("_sq0", "_sq0")]
+
+    def test_owned_column_binds_in_the_inner_block(self):
+        """``r_k`` names the inner r2, as in SQL: nothing is correlated."""
+        with pytest.raises(ValueError, match="uncorrelated"):
+            derive(
+                "SELECT r_a AS a FROM r "
+                "WHERE r_v > (SELECT max(r2.r_v) FROM r r2 WHERE r2.r_j = r_k)",
+                "r",
+            )
+
+    @pytest.mark.parametrize(
+        "where, match",
+        [
+            ("r_v > (SELECT count(*) FROM s WHERE s_k = r_k)", "COUNT bug"),
+            ("r_v > (SELECT max(s_v) FROM s WHERE s_k < r_k)", "equalities"),
+            (
+                "r_v > (SELECT max(s_v) FROM s, t "
+                "WHERE s_y = t_y AND s_k = r_k AND t_j = r_j)",
+                "span",
+            ),
+            ("r_v > (SELECT max(s_v) FROM s)", "uncorrelated"),
+            ("r_x IN (SELECT s_x FROM s WHERE s_k = r_k)", "correlated IN"),
+            ("r_x NOT IN (SELECT s_x FROM s)", "NOT"),
+            ("r_b = 1 OR r_v > (SELECT max(s_v) FROM s WHERE s_k = r_k)", "OR"),
+            ("r_v > (SELECT s_v FROM s WHERE s_k = r_k)", "must aggregate"),
+        ],
+        ids=[
+            "count", "non-equality", "spread", "uncorrelated", "correlated-in",
+            "not-in", "under-or", "no-aggregate",
+        ],
+    )
+    def test_refused_shapes(self, where, match):
+        with pytest.raises(ValueError, match=match):
+            derive(f"SELECT r_a AS a FROM r WHERE {where}", "r")
+
+    def test_subquery_in_the_select_list_is_refused(self):
+        with pytest.raises(ValueError, match="SUBQUERY"):
+            derive(
+                "SELECT (SELECT max(s_v) FROM s WHERE s_k = r_k) AS m FROM r", "r"
+            )
+
+
+R_ROWS = [(1, 1, 5.0, 10), (2, 1, 1.0, 20), (3, 2, 9.0, None),
+          (4, None, 7.0, 30), (5, 3, 4.0, 10)]
+S_ROWS = [(1, 2.0, 10), (1, 4.0, None), (2, 8.0, 30), (None, 0.0, 20)]
+
+
+@pytest.fixture(scope="module")
+def rs_graph(spark):
+    """r_k = 3 has no inner group; NULL correlation keys on both sides."""
+    spark_rels = {
+        "r": spark.createDataFrame(R_ROWS, "r_id int, r_k int, r_v double, r_x int"),
+        "s": spark.createDataFrame(S_ROWS, "s_k int, s_v double, s_x int"),
+    }
+    pandas_rels = {
+        name: df.toPandas().astype({c: "Int64" for c, t in df.dtypes if t == "int"})
+        for name, df in spark_rels.items()
+    }
+    return TAGGraph.encode(spark, spark_rels), pandas_rels
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT r_id AS id FROM r "
+        "WHERE r_v > (SELECT avg(s_v) FROM s WHERE s_k = r_k)",
+        "SELECT r_id AS id FROM r "
+        "WHERE r_v >= 2 * (SELECT min(s_v) FROM s WHERE s.s_k = r.r_k)",
+        "SELECT r_id AS id FROM r WHERE r_x IN (SELECT s_x FROM s)",
+    ],
+    ids=["scalar-avg", "scalar-min-factor", "in"],
+)
+def test_decorrelated_run_matches_oracle(rs_graph, sql):
+    """The lookup's inner join drops what SQL's NULL comparison drops."""
+    graph, rels = rs_graph
+    df, _ = run_spec(graph, derive(sql, "r"))
+    oracle.assert_equivalent(df, sql, **rels)
+
+
 @pytest.mark.parametrize(
     "catalog, name, root",
     [
@@ -231,11 +382,19 @@ class TestReductionOnly:
         (h, "q17", "lineitem"),
         (h, "q20", "supplier"),
         (ds, "ds_q6", "store_sales"),
-        (ds, "ds_q33", "store_sales"),
     ],
 )
+def test_correlated_queries_derive(catalog, name, root):
+    """Their subqueries decorrelate into lookups: no plan is hand-written."""
+    q = catalog.QUERIES[name]
+    spec = QuerySpec.from_sql(q.sql, root, catalog.PREFIXES)
+    assert spec.lookups
+    assert q.spec is not None and q.spec.root.name == root
+
+
+@pytest.mark.parametrize("catalog, name, root", [(ds, "ds_q33", "store_sales")])
 def test_hand_kept_queries_are_refused(catalog, name, root):
-    """Their SQL does not state their plan: the deriver must not guess."""
+    """Its SQL does not state its plan: the deriver must not guess."""
     with pytest.raises(ValueError):
         QuerySpec.from_sql(catalog.QUERIES[name].sql, root, catalog.PREFIXES)
 

@@ -1,4 +1,4 @@
-"""End-to-end TAG-join tests: run_spec / run_reduction_only vs the oracle."""
+"""End-to-end TAG-join tests: run_spec vs the oracle."""
 from __future__ import annotations
 
 import pandas as pd
@@ -6,7 +6,7 @@ import pytest
 
 from repro import oracle
 from repro.core.spec import Node, QuerySpec
-from repro.core.tagjoin import run_reduction_only, run_spec, scalar_lookup
+from repro.core.tagjoin import run_spec, scalar_lookup
 from repro.core.tag import TAGGraph
 
 
@@ -189,8 +189,9 @@ class TestRunReductionOnly:
                 children=[Node(relation="A", parent_join=("bk", "ab"))],
             ),
             select=[("bk", "bk")],
+            reduction_only=True,
         )
-        df, _ = run_reduction_only(graph, spec)
+        df, _ = run_spec(graph, spec)
         oracle.assert_equivalent(
             df,
             "SELECT bk AS bk FROM B WHERE EXISTS "
@@ -209,8 +210,9 @@ class TestRunReductionOnly:
             ),
             aggregates=[("count(*)", "cnt")],
             agg_class="scalar",
+            reduction_only=True,
         )
-        df, _ = run_reduction_only(graph, spec)
+        df, _ = run_spec(graph, spec)
         oracle.assert_equivalent(
             df,
             "SELECT count(*) AS cnt FROM B WHERE EXISTS "
