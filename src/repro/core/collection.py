@@ -20,7 +20,7 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from .reduction import RunStats, StepTrace
+from .reduction import RunStats, StepTrace, sized
 from .spec import Node, qualify
 from .tag import TID, TAGGraph
 
@@ -46,7 +46,9 @@ def node_frame(
     would accumulate at them by the superstep where the subtree's root sends
     to its parent.
     """
-    base = graph.tuples[node.relation].join(reduced[node.name], on=TID)
+    base = graph.tuples[node.relation].join(
+        sized(graph, node.relation, reduced[node.name]), on=TID
+    )
     cols = _needed_columns(node)
     base = base.select([F.col(c).alias(qualify(node, c)) for c in cols])
 

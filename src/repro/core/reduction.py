@@ -40,6 +40,19 @@ frames are ``vals`` (the projection), ``msgs`` before any UP intersection
 ``reduced_sizes`` come from each alias's last barrier. Only when AQE prunes
 an observed subtree at run time (an empty join input) does a frame get
 counted again, exactly: a pruned frame's count is not necessarily 0.
+
+Exchanges: in Algorithm 2 an attribute vertex's message goes straight to
+the tuple vertices on its edges; nothing repartitions the edge index to
+deliver it. The dataflow form of that is a broadcast message set: the
+small side of each left-semi join (the active tid set, the projected
+values, the prior reduced set) is shipped whole to every partition of the
+edge table it probes, which stays where it is cached. The size rule is
+static and costs no Spark job: a frame drawn from relation R's tuple
+vertices (at most one row per tuple) is broadcast when the materialized
+graph counts at most ``BROADCAST_MAX_VERTICES`` tuple vertices in R; a
+larger R, or an unmaterialized graph (no counts), keeps the shuffled
+sort-merge join. Only the physical join strategy changes; the plan, its
+observations and its barriers are the same either way.
 """
 from __future__ import annotations
 
@@ -51,6 +64,11 @@ from pyspark.sql import functions as F
 from .plan import EdgeLabel, start_alias
 from .spec import Node
 from .tag import TID, VAL, TAGGraph
+
+
+#: Largest relation, in tuple vertices, whose message sets are broadcast:
+#: 1 M 8-byte keys are ~8 MB, under Spark's default 10 MB broadcast limit.
+BROADCAST_MAX_VERTICES = 1_000_000
 
 
 @dataclass
@@ -76,10 +94,14 @@ class RunStats:
     def supersteps(self) -> int:
         return len(self.traces)
 
-    def merge(self, other: "RunStats") -> None:
-        """Add the ledger of another TAG run that is part of the same plan."""
+    def merge(self, other: "RunStats", name: str) -> None:
+        """Add the ledger of another TAG run, of spec ``name``, that is part
+        of the same plan. A node name this ledger already holds keeps both
+        sizes: the merged run's is keyed ``<name>/<node>``."""
         self.traces.extend(other.traces)
-        self.reduced_sizes.update(other.reduced_sizes)
+        for node, size in other.reduced_sizes.items():
+            key = f"{name}/{node}" if node in self.reduced_sizes else node
+            self.reduced_sizes[key] = size
 
     def total_messages(self, phase: str | None = None) -> int:
         return sum(
@@ -95,6 +117,16 @@ def filtered_tids(graph: TAGGraph, node: Node) -> DataFrame | None:
     if node.filter is None:
         return None
     return graph.tuples[node.relation].where(node.filter).select(TID)
+
+
+def sized(graph: TAGGraph, relation: str, df: DataFrame) -> DataFrame:
+    """``df``, a frame of at most one row per tuple vertex of ``relation``,
+    hinted for broadcast when the graph counts at most
+    ``BROADCAST_MAX_VERTICES`` of them; otherwise unchanged (shuffled)."""
+    n = graph.tuple_vertices.get(relation)
+    if n is not None and n <= BROADCAST_MAX_VERTICES:
+        return F.broadcast(df)
+    return df
 
 
 def _counted(
@@ -148,6 +180,9 @@ def reduce_phase(
     def edge(alias: str, col: str) -> DataFrame:
         return graph.edge(by_alias[alias].relation, col)
 
+    def small(alias: str, df: DataFrame) -> DataFrame:
+        return sized(graph, by_alias[alias].relation, df)
+
     if not steps:  # single-relation query: no traversal needed
         return {a: tids(a) for a in reduced}
 
@@ -160,15 +195,22 @@ def reduce_phase(
             # Projection: the active `p_alias` tuple vertices message their
             # `p_col` attribute vertices (VAL carries π_{p_col}).
             vals = _counted(
-                edge(p_alias, p_col).join(active, TID, "left_semi"), counts
+                edge(p_alias, p_col).join(small(p_alias, active), TID,
+                                          "left_semi"),
+                counts,
             )
             # Semijoin: those attribute vertices message `alias`-tuples via
             # `alias.col` edges → alias ⋉ vals, intersected with the
             # accumulated reduction. In the DOWN pass messages only travel
             # via edges marked by the UP pass (Alg. 2 line 17), which is
             # exactly the restriction to the prior reduced set.
-            msgs = edge(alias, col).join(vals.select(VAL), VAL, "left_semi")
+            # (VAL holds at most one value per `p_alias` tuple.)
+            msgs = edge(alias, col).join(
+                small(p_alias, vals.select(VAL)), VAL, "left_semi"
+            )
             prior = reduced[alias]
+            if prior is not None:
+                prior = small(alias, prior)
             if phase == "down" and prior is not None:
                 msgs = msgs.join(prior, TID, "left_semi")
             msgs = _counted(msgs.select(TID), counts)

@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 
 from .collection import node_frame
 from .plan import build_plan, gensteps
-from .reduction import RunStats, reduce_phase
+from .reduction import RunStats, reduce_phase, sized
 from .spec import Node, QuerySpec, qualify
 from .tag import TID, TAGGraph
 
@@ -83,7 +83,8 @@ def run_spec(
         reduced = reduce_phase(graph, nodes, steps, rs)
         if spec.reduction_only:
             tuples = graph.tuples[root.relation]
-            df = _root_frame(tuples.join(reduced[root.name], on=TID), root)
+            ids = sized(graph, root.relation, reduced[root.name])
+            df = _root_frame(tuples.join(ids, on=TID), root)
         else:
             df = node_frame(graph, root, reduced, rs)
 
@@ -91,7 +92,7 @@ def run_spec(
         ldf, lrs = run_spec(graph, lookup, stats=stats)
         df = df.join(ldf, on=[F.col(o) == F.col(k) for o, k in on])
         if rs is not None:
-            rs.merge(lrs)
+            rs.merge(lrs, lookup.name)
 
     out = finalize(df, spec)
     return out, (rs or RunStats())

@@ -133,7 +133,7 @@ def _q33_tag(graph: TAGGraph, stats: bool = False):
     for spec in _Q33_CHANNELS:
         df, s = run_spec(graph, spec, stats=stats)
         frames.append(df)
-        all_stats.merge(s)
+        all_stats.merge(s, spec.name)
     union = _reduce(lambda a, b: a.unionByName(b), frames)
     out = (
         union.groupBy("i_manufact_id")

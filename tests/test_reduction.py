@@ -6,12 +6,16 @@ import uuid
 import pandas as pd
 import pytest
 
-from repro.core import tagjoin
+from repro.core import reduction, tagjoin
 from repro.core.plan import build_plan, gensteps, start_alias
 from repro.core.reduction import RunStats, reduce_phase
 from repro.core.spec import Node
 from repro.core.tag import TAGGraph, TID
 from repro.tpcds.queries import QUERIES as TPCDS_QUERIES
+from repro.tpch.queries import QUERIES as TPCH_QUERIES
+
+#: Spark jobs of one unmetered q3 TAG pass on ``tpch_graph`` (measured).
+Q3_TAG_PASS_JOBS = 32
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,7 @@ def chain_instance(spark):
     T = pd.DataFrame({"tc": [100, 300, 800], "td": [7, 8, 9]})
     rels = {k: spark.createDataFrame(v) for k, v in {"R": R, "S": S, "T": T}.items()}
     graph = TAGGraph.encode(spark, rels)
+    graph.materialize()  # counts its tuple vertices: message sets broadcast
     spec = Node(
         relation="R",
         children=[
@@ -180,6 +185,18 @@ class TestTraces:
         assert stats.reduced_sizes == {
             a: len({r[TID] for r in df.collect()}) for a, df in reduced.items()
         }
+
+
+class TestMerge:
+    def test_single_run_keeps_its_keys(self):
+        merged, run = RunStats(), RunStats(reduced_sizes={"R": 2, "S": 1})
+        merged.merge(run, "q")
+        assert merged.reduced_sizes == {"R": 2, "S": 1}
+
+    def test_colliding_node_is_qualified_by_spec_name(self):
+        merged = RunStats(reduced_sizes={"R": 2, "S": 1})
+        merged.merge(RunStats(reduced_sizes={"S": 5, "T": 3}), "inner")
+        assert merged.reduced_sizes == {"R": 2, "S": 1, "inner/S": 5, "T": 3}
 
 
 class TestTwoWayBounds:
@@ -385,19 +402,35 @@ def _pandas_ledger(tuples: dict[str, pd.DataFrame], root: Node, steps):
     return counts
 
 
-class TestAdversarialReduction:
-    @pytest.fixture(scope="class")
-    def adversarial_graph(self, spark):
-        rels = {
-            name: spark.createDataFrame(rows, schema)
-            for name, (schema, rows) in _ADV_ROWS.items()
-        }
-        graph = TAGGraph.encode(spark, rels, attributes={"E": ["src"]})
-        graph.materialize()
-        assert "dst" not in graph.edges["E"]
-        tuples = {n: t.toPandas() for n, t in graph.tuples.items()}
-        return graph, tuples
+@pytest.fixture(scope="module")
+def adversarial_graph(spark):
+    rels = {
+        name: spark.createDataFrame(rows, schema)
+        for name, (schema, rows) in _ADV_ROWS.items()
+    }
+    graph = TAGGraph.encode(spark, rels, attributes={"E": ["src"]})
+    graph.materialize()
+    assert "dst" not in graph.edges["E"]
+    tuples = {n: t.toPandas() for n, t in graph.tuples.items()}
+    return graph, tuples
 
+
+def _adversarial_case(case: str) -> Node:
+    """The adversarial spec of one ``TestAdversarialReduction`` case."""
+    if case == "empty_edge_table":
+        # UP: the semijoin into P runs over the empty P.pn edge table,
+        # so AQE prunes the non-empty R.ra projection under it.
+        spec = _adversarial_spec(False)
+        spec.parent_join = ("pn", "ra")
+        return Node(relation="P", children=[spec])
+    if case == "empty_up_prior":
+        # UP: the non-empty semijoin into R is intersected with R's
+        # empty filtered set, so AQE prunes it.
+        return _adversarial_spec(False, r_filter="ra > 100")
+    return _adversarial_spec(case == "empty_branch")
+
+
+class TestAdversarialReduction:
     @pytest.mark.parametrize("empty_branch", [False, True])
     def test_distinct_and_matches_pandas(self, adversarial_graph,
                                          empty_branch):
@@ -413,16 +446,7 @@ class TestAdversarialReduction:
         """An empty join input lets AQE prune an observed frame at run time;
         the metered counts must still be exact, not 0."""
         graph, tuples = adversarial_graph
-        if case == "empty_edge_table":
-            # UP: the semijoin into P runs over the empty P.pn edge table,
-            # so AQE prunes the non-empty R.ra projection under it.
-            spec = _adversarial_spec(False)
-            spec.parent_join = ("pn", "ra")
-            spec = Node(relation="P", children=[spec])
-        else:
-            # UP: the non-empty semijoin into R is intersected with R's
-            # empty filtered set, so AQE prunes it.
-            spec = _adversarial_spec(False, r_filter="ra > 100")
+        spec = _adversarial_case(case)
         expected = _check_against_pandas(graph, tuples, spec)
         assert not expected["R"]
 
@@ -452,3 +476,91 @@ def _check_against_pandas(graph, tuples, spec: Node):
             )
     assert results[False] == results[True] == expected
     return expected
+
+
+def _checkpoint_frames(monkeypatch, frame_cls) -> list:
+    """Record every frame handed to ``localCheckpoint`` (a pair barrier)."""
+    real = frame_cls.localCheckpoint
+    frames = []
+
+    def spy(self, *args, **kwargs):
+        frames.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(frame_cls, "localCheckpoint", spy)
+    return frames
+
+
+_JOINS = ("BroadcastHashJoin", "SortMergeJoin")
+
+
+def _executed_joins(frames) -> set[str]:
+    """Physical join operators in the executed plans of ``frames``."""
+    plans = [df._jdf.queryExecution().executedPlan().toString()
+             for df in frames]
+    return {j for j in _JOINS for plan in plans if j in plan}
+
+
+class TestExchanges:
+    """Message sets drawn from small relations are broadcast; forcing the
+    limit to 0 gives the shuffled plan, which must reduce identically."""
+
+    def test_small_graph_broadcasts(self, chain_instance, monkeypatch):
+        graph, spec, _ = chain_instance
+        frames = _checkpoint_frames(monkeypatch, type(graph.tuples["R"]))
+        reduce_phase(graph, list(spec.walk()), gensteps(build_plan(spec)))
+        assert frames
+        for df in frames:
+            assert _executed_joins([df]) == {"BroadcastHashJoin"}
+
+    def test_unmaterialized_graph_shuffles(self, chain_instance,
+                                           monkeypatch):
+        graph, spec, _ = chain_instance
+        fresh = TAGGraph(graph.spark, graph.tuples, graph.edges)  # no counts
+        frames = _checkpoint_frames(monkeypatch, type(graph.tuples["R"]))
+        reduce_phase(fresh, list(spec.walk()), gensteps(build_plan(spec)))
+        assert _executed_joins(frames) == {"SortMergeJoin"}
+
+    @pytest.mark.parametrize("case", [
+        "chain", "full", "empty_branch", "empty_edge_table", "empty_up_prior",
+    ])
+    def test_shuffled_plan_matches_broadcast(self, request, monkeypatch,
+                                             case):
+        if case == "chain":
+            graph, spec, _ = request.getfixturevalue("chain_instance")
+        else:
+            graph, _ = request.getfixturevalue("adversarial_graph")
+            spec = _adversarial_case(case)
+        nodes = list(spec.walk())
+        steps = gensteps(build_plan(spec))
+        frame_cls = type(graph.tuples["R"])
+        real_count = frame_cls.count
+        runs = {}
+        for limit in (reduction.BROADCAST_MAX_VERTICES, 0):
+            recounts = []  # frames whose observation AQE pruned
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "BROADCAST_MAX_VERTICES", limit)
+                m.setattr(frame_cls, "count",
+                          lambda df: recounts.append(df) or real_count(df))
+                frames = _checkpoint_frames(m, frame_cls)
+                stats = RunStats()
+                reduced = reduce_phase(graph, nodes, steps, stats)
+                joins = _executed_joins(frames)
+            # The empty cases exercise the exact recount on both plans.
+            assert bool(recounts) is case.startswith("empty"), limit
+            tids = {a: sorted(r[TID] for r in df.collect())
+                    for a, df in reduced.items()}
+            ledger = [(t.phase, t.label, t.kind, t.messages)
+                      for t in stats.traces]
+            runs[limit] = joins, tids, ledger, stats.reduced_sizes
+        broadcast, shuffled = runs.values()
+        assert broadcast[0] == {"BroadcastHashJoin"}
+        assert shuffled[0] == {"SortMergeJoin"}
+        assert broadcast[1:] == shuffled[1:]
+
+    def test_q3_tag_pass_jobs(self, spark, tpch_graph):
+        """Broadcast semijoins keep an unmetered q3 TAG pass at or under
+        the measured job count (53 with every semijoin shuffled)."""
+        q3 = TPCH_QUERIES["q3"]
+        jobs = _spark_jobs(spark, lambda: q3.run_tag(tpch_graph)[0].collect())
+        assert jobs <= Q3_TAG_PASS_JOBS

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from repro import oracle
+from repro.core import tagjoin
 from repro.tpcds.queries import QUERIES
 
 ALL = sorted(QUERIES)
@@ -39,6 +40,30 @@ def test_expected_query_set():
 def test_classes_cover_paper_groups():
     classes = {q.paper_class for q in QUERIES.values()}
     assert {"No agg", "Local", "Global", "Corr"} <= classes
+
+
+def test_q33_keeps_every_channel_size(tpcds_graph, monkeypatch):
+    """ds_q33's merged ledger keeps all nine channel sizes: the store
+    channel's under its node names, the later channels' ``item`` and
+    ``date_dim`` qualified by their spec names."""
+    reduced = []
+    real = tagjoin.reduce_phase
+
+    def capture(graph, nodes, steps, stats=None):
+        reduced.append(real(graph, nodes, steps, stats))
+        return reduced[-1]
+
+    monkeypatch.setattr(tagjoin, "reduce_phase", capture)
+    _, stats = QUERIES["ds_q33"].run_tag(tpcds_graph, stats=True)
+    ss, cs, ws = ({a: df.count() for a, df in r.items()} for r in reduced)
+    assert stats.reduced_sizes == {
+        "store_sales": ss["store_sales"], "item": ss["item"],
+        "date_dim": ss["date_dim"],
+        "catalog_sales": cs["catalog_sales"],
+        "ds_q33_cs/item": cs["item"], "ds_q33_cs/date_dim": cs["date_dim"],
+        "web_sales": ws["web_sales"],
+        "ds_q33_ws/item": ws["item"], "ds_q33_ws/date_dim": ws["date_dim"],
+    }
 
 
 def _subtree(plan):
