@@ -20,7 +20,7 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from .reduction import RunStats, StepTrace, sized
+from .reduction import RunStats, StepTrace
 from .spec import Node, qualify
 from .tag import TID, TAGGraph
 
@@ -46,8 +46,9 @@ def node_frame(
     would accumulate at them by the superstep where the subtree's root sends
     to its parent.
     """
+    # The reduced tid set is a message set (reduction.py, "Exchanges").
     base = graph.tuples[node.relation].join(
-        sized(graph, node.relation, reduced[node.name]), on=TID
+        F.broadcast(reduced[node.name]), on=TID
     )
     cols = _needed_columns(node)
     base = base.select([F.col(c).alias(qualify(node, c)) for c in cols])

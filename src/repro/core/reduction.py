@@ -44,15 +44,16 @@ counted again, exactly: a pruned frame's count is not necessarily 0.
 Exchanges: in Algorithm 2 an attribute vertex's message goes straight to
 the tuple vertices on its edges; nothing repartitions the edge index to
 deliver it. The dataflow form of that is a broadcast message set: the
-small side of each left-semi join (the active tid set, the projected
-values, the prior reduced set) is shipped whole to every partition of the
-edge table it probes, which stays where it is cached. The size rule is
-static and costs no Spark job: a frame drawn from relation R's tuple
-vertices (at most one row per tuple) is broadcast when the materialized
-graph counts at most ``BROADCAST_MAX_VERTICES`` tuple vertices in R; a
-larger R, or an unmaterialized graph (no counts), keeps the shuffled
-sort-merge join. Only the physical join strategy changes; the plan, its
-observations and its barriers are the same either way.
+message side of each left-semi join (the active tid set, the projected
+values, the prior reduced set) is hinted ``F.broadcast`` and shipped whole
+to every partition of the edge table it probes, which stays where it is
+cached. Each such side holds at most one row per tuple vertex of one
+relation. The hint applies whatever the session's
+``spark.sql.autoBroadcastJoinThreshold`` (the Spark SQL comparator keeps
+broadcast off). The broadcast is unconditional: the size at which a shuffled
+join would pay off again has not been measured, and no workload here comes
+near one (ROADMAP item 3). Only the physical join strategy differs from a
+shuffled plan; the plan, its observations and its barriers are the same.
 """
 from __future__ import annotations
 
@@ -64,11 +65,6 @@ from pyspark.sql import functions as F
 from .plan import EdgeLabel, start_alias
 from .spec import Node
 from .tag import TID, VAL, TAGGraph
-
-
-#: Largest relation, in tuple vertices, whose message sets are broadcast:
-#: 1 M 8-byte keys are ~8 MB, under Spark's default 10 MB broadcast limit.
-BROADCAST_MAX_VERTICES = 1_000_000
 
 
 @dataclass
@@ -117,16 +113,6 @@ def filtered_tids(graph: TAGGraph, node: Node) -> DataFrame | None:
     if node.filter is None:
         return None
     return graph.tuples[node.relation].where(node.filter).select(TID)
-
-
-def sized(graph: TAGGraph, relation: str, df: DataFrame) -> DataFrame:
-    """``df``, a frame of at most one row per tuple vertex of ``relation``,
-    hinted for broadcast when the graph counts at most
-    ``BROADCAST_MAX_VERTICES`` of them; otherwise unchanged (shuffled)."""
-    n = graph.tuple_vertices.get(relation)
-    if n is not None and n <= BROADCAST_MAX_VERTICES:
-        return F.broadcast(df)
-    return df
 
 
 def _counted(
@@ -180,9 +166,6 @@ def reduce_phase(
     def edge(alias: str, col: str) -> DataFrame:
         return graph.edge(by_alias[alias].relation, col)
 
-    def small(alias: str, df: DataFrame) -> DataFrame:
-        return sized(graph, by_alias[alias].relation, df)
-
     if not steps:  # single-relation query: no traversal needed
         return {a: tids(a) for a in reduced}
 
@@ -195,7 +178,7 @@ def reduce_phase(
             # Projection: the active `p_alias` tuple vertices message their
             # `p_col` attribute vertices (VAL carries π_{p_col}).
             vals = _counted(
-                edge(p_alias, p_col).join(small(p_alias, active), TID,
+                edge(p_alias, p_col).join(F.broadcast(active), TID,
                                           "left_semi"),
                 counts,
             )
@@ -206,11 +189,11 @@ def reduce_phase(
             # exactly the restriction to the prior reduced set.
             # (VAL holds at most one value per `p_alias` tuple.)
             msgs = edge(alias, col).join(
-                small(p_alias, vals.select(VAL)), VAL, "left_semi"
+                F.broadcast(vals.select(VAL)), VAL, "left_semi"
             )
             prior = reduced[alias]
             if prior is not None:
-                prior = small(alias, prior)
+                prior = F.broadcast(prior)
             if phase == "down" and prior is not None:
                 msgs = msgs.join(prior, TID, "left_semi")
             msgs = _counted(msgs.select(TID), counts)

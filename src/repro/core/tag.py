@@ -81,9 +81,6 @@ class TAGGraph:
         self.spark = spark
         self.tuples = tuples
         self.edges = edges
-        #: Tuple vertices per relation, counted by :meth:`materialize`
-        #: (empty until then).
-        self.tuple_vertices: dict[str, int] = {}
 
     @classmethod
     def encode(
@@ -132,8 +129,7 @@ class TAGGraph:
         """Force computation of all vertices/edges; returns size stats.
 
         This is the TAG analogue of "load + index build" for an RDBMS: after
-        this call every edge table (the attribute-vertex index) is resident,
-        and the graph keeps its tuple-vertex counts (``tuple_vertices``).
+        this call every edge table (the attribute-vertex index) is resident.
         """
         stats = TAGStats()
         for name, t in self.tuples.items():
@@ -141,7 +137,6 @@ class TAGGraph:
         for name, by_col in self.edges.items():
             for col, e in by_col.items():
                 stats.edges[f"{name}.{col}"] = e.count()
-        self.tuple_vertices = dict(stats.tuple_vertices)
         return stats
 
     def attribute_vertices(self, pairs: list[tuple[str, str]]) -> DataFrame:

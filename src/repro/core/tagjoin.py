@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 
 from .collection import node_frame
 from .plan import build_plan, gensteps
-from .reduction import RunStats, reduce_phase, sized
+from .reduction import RunStats, reduce_phase
 from .spec import Node, QuerySpec, qualify
 from .tag import TID, TAGGraph
 
@@ -83,7 +83,7 @@ def run_spec(
         reduced = reduce_phase(graph, nodes, steps, rs)
         if spec.reduction_only:
             tuples = graph.tuples[root.relation]
-            ids = sized(graph, root.relation, reduced[root.name])
+            ids = F.broadcast(reduced[root.name])
             df = _root_frame(tuples.join(ids, on=TID), root)
         else:
             df = node_frame(graph, root, reduced, rs)

@@ -5,8 +5,8 @@ against PostgreSQL, RDBMS-X (row + in-memory column store), RDBMS-Y and
 Spark SQL. Offline substitutions (DESIGN.md):
 
 - ``tag``       — our TAG-join dataflow execution over the cached TAG graph;
-  it sizes its own semijoins, broadcasting the message sets of small
-  relations (``core/reduction.py``) whatever the session threshold;
+  it picks its own semijoins' exchange, broadcasting their message sets
+  (``core/reduction.py``) whatever the session threshold;
 - ``spark_sql`` — the paper's actual comparator: plain Spark SQL over the
   same cached tables (broadcast joins disabled session-wide, as conftest);
 - ``duckdb``    — stand-in for the reference RDBMS columns (an in-memory

@@ -6,7 +6,7 @@ import uuid
 import pandas as pd
 import pytest
 
-from repro.core import reduction, tagjoin
+from repro.core import tagjoin
 from repro.core.plan import build_plan, gensteps, start_alias
 from repro.core.reduction import RunStats, reduce_phase
 from repro.core.spec import Node
@@ -14,8 +14,11 @@ from repro.core.tag import TAGGraph, TID
 from repro.tpcds.queries import QUERIES as TPCDS_QUERIES
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
 
-#: Spark jobs of one unmetered q3 TAG pass on ``tpch_graph`` (measured).
-Q3_TAG_PASS_JOBS = 32
+#: Bound on the Spark jobs of one unmetered q3 TAG pass on ``tpch_graph``.
+#: Measured: 32 in each of 10 runs with broadcast message sets, 53 with every
+#: semijoin shuffled. The margin leaves room for AQE's run-time stage
+#: decisions in the joins that still shuffle (collection's child joins).
+Q3_TAG_PASS_JOBS = 42
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +29,6 @@ def chain_instance(spark):
     T = pd.DataFrame({"tc": [100, 300, 800], "td": [7, 8, 9]})
     rels = {k: spark.createDataFrame(v) for k, v in {"R": R, "S": S, "T": T}.items()}
     graph = TAGGraph.encode(spark, rels)
-    graph.materialize()  # counts its tuple vertices: message sets broadcast
     spec = Node(
         relation="R",
         children=[
@@ -224,12 +226,12 @@ class TestTwoWayBounds:
 
 
 def _checkpoint_spy(monkeypatch, frame_cls):
-    """Record the ``eager`` argument of every ``localCheckpoint`` call."""
+    """Record ``(eager, frame)`` for every ``localCheckpoint`` call."""
     real = frame_cls.localCheckpoint
-    calls: list[bool] = []
+    calls: list[tuple[bool, object]] = []
 
     def spy(self, eager=True, *args, **kwargs):
-        calls.append(eager)
+        calls.append((eager, self))
         return real(self, eager, *args, **kwargs)
 
     monkeypatch.setattr(frame_cls, "localCheckpoint", spy)
@@ -316,7 +318,7 @@ class TestBarriers:
         calls = _checkpoint_spy(monkeypatch, type(graph.tuples["R"]))
         stats = RunStats() if metered else None
         reduce_phase(graph, list(spec.walk()), steps, stats)
-        assert calls == [True] * len(steps)
+        assert [eager for eager, _ in calls] == [True] * len(steps)
 
 
 # Adversarial instance: NULL join keys, heavily duplicated values and an
@@ -478,19 +480,6 @@ def _check_against_pandas(graph, tuples, spec: Node):
     return expected
 
 
-def _checkpoint_frames(monkeypatch, frame_cls) -> list:
-    """Record every frame handed to ``localCheckpoint`` (a pair barrier)."""
-    real = frame_cls.localCheckpoint
-    frames = []
-
-    def spy(self, *args, **kwargs):
-        frames.append(self)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(frame_cls, "localCheckpoint", spy)
-    return frames
-
-
 _JOINS = ("BroadcastHashJoin", "SortMergeJoin")
 
 
@@ -502,65 +491,35 @@ def _executed_joins(frames) -> set[str]:
 
 
 class TestExchanges:
-    """Message sets drawn from small relations are broadcast; forcing the
-    limit to 0 gives the shuffled plan, which must reduce identically."""
-
-    def test_small_graph_broadcasts(self, chain_instance, monkeypatch):
-        graph, spec, _ = chain_instance
-        frames = _checkpoint_frames(monkeypatch, type(graph.tuples["R"]))
-        reduce_phase(graph, list(spec.walk()), gensteps(build_plan(spec)))
-        assert frames
-        for df in frames:
-            assert _executed_joins([df]) == {"BroadcastHashJoin"}
-
-    def test_unmaterialized_graph_shuffles(self, chain_instance,
-                                           monkeypatch):
-        graph, spec, _ = chain_instance
-        fresh = TAGGraph(graph.spark, graph.tuples, graph.edges)  # no counts
-        frames = _checkpoint_frames(monkeypatch, type(graph.tuples["R"]))
-        reduce_phase(fresh, list(spec.walk()), gensteps(build_plan(spec)))
-        assert _executed_joins(frames) == {"SortMergeJoin"}
+    """Every left-semi join of a pair broadcasts its message set."""
 
     @pytest.mark.parametrize("case", [
-        "chain", "full", "empty_branch", "empty_edge_table", "empty_up_prior",
+        "chain", "empty_edge_table", "empty_up_prior",
     ])
-    def test_shuffled_plan_matches_broadcast(self, request, monkeypatch,
-                                             case):
+    def test_pairs_broadcast_message_sets(self, request, monkeypatch, case):
         if case == "chain":
             graph, spec, _ = request.getfixturevalue("chain_instance")
         else:
             graph, _ = request.getfixturevalue("adversarial_graph")
             spec = _adversarial_case(case)
-        nodes = list(spec.walk())
-        steps = gensteps(build_plan(spec))
         frame_cls = type(graph.tuples["R"])
         real_count = frame_cls.count
-        runs = {}
-        for limit in (reduction.BROADCAST_MAX_VERTICES, 0):
-            recounts = []  # frames whose observation AQE pruned
-            with monkeypatch.context() as m:
-                m.setattr(reduction, "BROADCAST_MAX_VERTICES", limit)
-                m.setattr(frame_cls, "count",
-                          lambda df: recounts.append(df) or real_count(df))
-                frames = _checkpoint_frames(m, frame_cls)
-                stats = RunStats()
-                reduced = reduce_phase(graph, nodes, steps, stats)
-                joins = _executed_joins(frames)
-            # The empty cases exercise the exact recount on both plans.
-            assert bool(recounts) is case.startswith("empty"), limit
-            tids = {a: sorted(r[TID] for r in df.collect())
-                    for a, df in reduced.items()}
-            ledger = [(t.phase, t.label, t.kind, t.messages)
-                      for t in stats.traces]
-            runs[limit] = joins, tids, ledger, stats.reduced_sizes
-        broadcast, shuffled = runs.values()
-        assert broadcast[0] == {"BroadcastHashJoin"}
-        assert shuffled[0] == {"SortMergeJoin"}
-        assert broadcast[1:] == shuffled[1:]
+        recounts = []  # frames whose observation AQE pruned
+        monkeypatch.setattr(frame_cls, "count",
+                            lambda df: recounts.append(df) or real_count(df))
+        calls = _checkpoint_spy(monkeypatch, frame_cls)
+        reduce_phase(graph, list(spec.walk()), gensteps(build_plan(spec)),
+                     RunStats())
+        assert _executed_joins([df for _, df in calls]) == {
+            "BroadcastHashJoin"
+        }
+        # AQE still prunes an observed frame over a broadcast side, and the
+        # frame is recounted (exactly: TestAdversarialReduction).
+        assert bool(recounts) is case.startswith("empty")
 
     def test_q3_tag_pass_jobs(self, spark, tpch_graph):
-        """Broadcast semijoins keep an unmetered q3 TAG pass at or under
-        the measured job count (53 with every semijoin shuffled)."""
+        """Broadcast semijoins keep an unmetered q3 TAG pass well under the
+        53 jobs of the all-shuffled plan."""
         q3 = TPCH_QUERIES["q3"]
         jobs = _spark_jobs(spark, lambda: q3.run_tag(tpch_graph)[0].collect())
         assert jobs <= Q3_TAG_PASS_JOBS
