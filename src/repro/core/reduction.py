@@ -203,7 +203,7 @@ def reduce_phase(
                 t = msgs
             # Pair barrier: one eager localCheckpoint materialises the new
             # reduced set and truncates lineage, so each pair is one plan
-            # over the cached edge tables rather than a re-execution of the
+            # over the cached tuple tables rather than a re-execution of the
             # whole history. The projection needs no barrier of its own:
             # with the semijoin it forms one Lemma 5.1 semijoin. (A lazy
             # checkpoint still runs jobs under AQE, and costs more.) The

@@ -11,14 +11,19 @@ A relational instance becomes a bipartite graph:
   construction, with no duplication — the paper's "shared index" property);
 - one edge labelled ``R.A`` per occurrence of value ``a`` in attribute ``A``
   of an ``R``-tuple. The edge table for label ``R.A`` is a DataFrame
-  ``(__tid, __val)``.
+  ``(__tid, __val)``: a column view of R's tuple table, its non-null ``A``
+  values next to their ``__tid``.
 
 Mirroring §3's practical note, float-typed and long-text attributes are not
 materialised as attribute vertices by default (they are never join keys in
 the workloads); they remain stored on the tuple vertex.
 
 The encoding is query-independent and linear in the database size; it is
-computed once ("offline") and cached.
+computed once ("offline"). Each relation has one Spark cache, its tuple
+table. The columnar cache already holds every attribute column, so an edge
+table scans two cached columns and is not cached again: there is no second
+copy of a value, and no second cache whose eviction could recompute
+``__tid`` apart from the tuples.
 """
 from __future__ import annotations
 
@@ -93,29 +98,28 @@ class TAGGraph:
 
         ``attributes`` optionally overrides, per relation, which columns are
         materialised as attribute vertices (default:
-        :func:`default_attribute_columns`). Tuple and edge tables are
+        :func:`default_attribute_columns`). Only the tuple tables are
         cached: ``monotonically_increasing_id`` depends on partitioning, so
         recomputed vertex ids could disagree with the edges derived from
-        them.
+        them. Each listed edge table is the same uncached column view of
+        its tuple table that :meth:`edge` derives for any other column.
         """
-        tuples: dict[str, DataFrame] = {}
-        edges: dict[str, dict[str, DataFrame]] = {}
+        tuples = {
+            name: df.withColumn(TID, F.monotonically_increasing_id()).cache()
+            for name, df in relations.items()
+        }
+        graph = cls(spark, tuples, {name: {} for name in relations})
         for name, df in relations.items():
-            t = df.withColumn(TID, F.monotonically_increasing_id()).cache()
-            tuples[name] = t
             cols = (attributes or {}).get(name) or default_attribute_columns(df)
-            edges[name] = {}
             for col in cols:
-                edges[name][col] = (
-                    t.select(F.col(TID), F.col(col).alias(VAL))
-                    .where(F.col(VAL).isNotNull())
-                    .cache()
-                )
-        return cls(spark, tuples, edges)
+                graph.edge(name, col)
+        return graph
 
     def edge(self, relation: str, col: str) -> DataFrame:
-        """Edge table for label ``relation.col``; lazily derived if the
-        column was not materialised as attribute vertices."""
+        """Edge table for label ``relation.col``: the non-null ``col``
+        values of the cached tuple table next to their ``__tid``. Derived on
+        first use if the column was not materialised as attribute
+        vertices."""
         by_col = self.edges.setdefault(relation, {})
         if col not in by_col:
             by_col[col] = (
@@ -126,17 +130,23 @@ class TAGGraph:
         return by_col[col]
 
     def materialize(self) -> TAGStats:
-        """Force computation of all vertices/edges; returns size stats.
+        """Build every tuple table's cache; returns size stats.
 
         This is the TAG analogue of "load + index build" for an RDBMS: after
-        this call every edge table (the attribute-vertex index) is resident.
+        this call every tuple table, and with it every edge table (the
+        attribute-vertex index, a column view of it), is resident. One
+        aggregate per relation, ``count(1), count(A1) … count(Ak)`` over its
+        labels, builds the cache and counts its tuple vertices and each
+        label's edges (the non-null values of ``Ai``).
         """
         stats = TAGStats()
         for name, t in self.tuples.items():
-            stats.tuple_vertices[name] = t.count()
-        for name, by_col in self.edges.items():
-            for col, e in by_col.items():
-                stats.edges[f"{name}.{col}"] = e.count()
+            cols = list(self.edges[name])
+            row = t.agg(F.count(F.lit(1)),
+                        *[F.count(F.col(c)) for c in cols]).first()
+            stats.tuple_vertices[name] = row[0]
+            for col, n in zip(cols, row[1:]):
+                stats.edges[f"{name}.{col}"] = n
         return stats
 
     def attribute_vertices(self, pairs: list[tuple[str, str]]) -> DataFrame:
@@ -149,8 +159,6 @@ class TAGGraph:
         return out.distinct()
 
     def unpersist(self) -> None:
+        """Drop the tuple tables' caches; the edge tables hold none."""
         for t in self.tuples.values():
             t.unpersist()
-        for by_col in self.edges.values():
-            for e in by_col.values():
-                e.unpersist()

@@ -5,9 +5,10 @@ The paper measures (a) time to load + index each dataset into every system
 index) and (b) the loaded sizes, including the RDBMS-X in-memory column
 store segment sizes. Offline equivalents:
 
-- **TAG load**   — encode the relations into the TAG graph and materialise
-  every tuple/edge table into the Spark cache (the graph is then resident,
-  like TigerGraph's in-memory mode);
+- **TAG load**   — encode the relations into the TAG graph and build each
+  relation's one Spark cache, its tuple table, with one counting aggregate
+  per relation (every edge table is a column view of that cache, so the
+  graph is then resident, like TigerGraph's in-memory mode);
 - **RDBMS load** — create DuckDB tables from the data, then build PK and FK
   indexes per the TPC protocol (ART indexes, DuckDB's analogue of B-trees);
 - **columnar / parquet** — write the tables as Parquet (the Spark SQL

@@ -1,8 +1,6 @@
 """Reduction-phase tests: Lemma 5.1 semantics, full reduction, bounds."""
 from __future__ import annotations
 
-import uuid
-
 import pandas as pd
 import pytest
 
@@ -13,6 +11,8 @@ from repro.core.spec import Node
 from repro.core.tag import TAGGraph, TID
 from repro.tpcds.queries import QUERIES as TPCDS_QUERIES
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
+
+from .sparkjobs import spark_jobs as _spark_jobs
 
 #: Bound on the Spark jobs of one unmetered q3 TAG pass on ``tpch_graph``.
 #: Measured: 32 in each of 10 runs with broadcast message sets, 53 with every
@@ -236,22 +236,6 @@ def _checkpoint_spy(monkeypatch, frame_cls):
 
     monkeypatch.setattr(frame_cls, "localCheckpoint", spy)
     return calls
-
-
-def _spark_jobs(spark, fn) -> int:
-    """Spark jobs launched by ``fn()``, counted under a fresh job group once
-    the listener bus has delivered every job event."""
-    sc = spark.sparkContext
-    group = f"test_reduction/{uuid.uuid4().hex}"
-    sc.setJobGroup(group, "reduce_phase")
-    try:
-        fn()
-    finally:
-        for key in ("spark.jobGroup.id", "spark.job.description",
-                    "spark.job.interruptOnCancel"):
-            sc.setLocalProperty(key, None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @pytest.fixture(params=["chain", "ds_q37"])

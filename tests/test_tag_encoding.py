@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
+from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core.tag import TAGGraph, TID, VAL, default_attribute_columns
+
+from .sparkjobs import spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +59,16 @@ class TestEncoding:
         assert set(e.columns) == {TID, VAL}
 
     def test_materialize_stats(self, small_graph):
-        g, _ = small_graph
+        """Exact whatever labels earlier tests derived: every label in
+        ``g.edges`` counts its column's non-null values."""
+        g, rels = small_graph
         stats = g.materialize()
-        assert stats.tuple_vertices["R"] == 3
-        assert stats.tuple_vertices["S"] == 2
-        assert stats.edges["R.a"] == 3
-        assert stats.total_tuple_vertices == 5
-        assert stats.total_edges >= 7
+        pdfs = {name: df.toPandas() for name, df in rels.items()}
+        assert stats.tuple_vertices == {n: len(p) for n, p in pdfs.items()}
+        assert stats.edges == {
+            f"{n}.{c}": int(pdfs[n][c].notna().sum())
+            for n, by_col in g.edges.items() for c in by_col
+        }
 
     def test_edges_disjointly_partitioned_by_value(self, small_graph):
         """§3: the edge set is disjointly partitioned by the attribute
@@ -72,6 +78,54 @@ class TestEncoding:
         total = e.count()
         by_value = e.groupBy(VAL).count().agg(F.sum("count")).collect()[0][0]
         assert by_value == total
+
+
+class TestOneCachePerRelation:
+    """Each relation's tuple table is its only cache; edge tables are column
+    views of it (ROADMAP item 5: a separately cached edge table could keep
+    ``__tid``s that a recomputed tuple table no longer has)."""
+
+    @staticmethod
+    def _wide(spark, n_cols):
+        cols = ", ".join(f"c{j} long" for j in range(n_cols))
+        rows = [tuple(i * n_cols + j for j in range(n_cols)) for i in range(6)]
+        return spark.createDataFrame(rows, cols)
+
+    def test_materialize_jobs_do_not_grow_with_labels(self, spark):
+        def jobs(n_cols):
+            g = TAGGraph.encode(spark, {"R": self._wide(spark, n_cols)})
+            assert len(g.edges["R"]) == n_cols
+            n = spark_jobs(spark, g.materialize)
+            g.unpersist()
+            return n
+
+        one = jobs(1)
+        assert one > 0
+        assert jobs(8) <= one
+
+    def test_edges_are_uncached_views_that_survive_eviction(self, spark):
+        src = spark.range(0, 200, numPartitions=4).select(
+            F.col("id").alias("k"),
+            (F.col("id") % 7).alias("a"),
+            F.when(F.col("id") % 5 == 0, None).otherwise(F.col("id") * 3).alias("b"),
+        )
+        g = TAGGraph.encode(spark, {"R": src})
+        g.materialize()
+        for e in g.edges["R"].values():
+            assert not e.is_cached
+            assert e.storageLevel == StorageLevel.NONE
+
+        def check():
+            for col in ("k", "a", "b"):
+                joined = g.edge("R", col).join(g.tuples["R"], TID)
+                bad = joined.where(~F.col(VAL).eqNullSafe(F.col(col)))
+                assert joined.count() == src.where(F.col(col).isNotNull()).count()
+                assert bad.count() == 0
+
+        check()
+        g.tuples["R"].unpersist(blocking=True)
+        assert g.tuples["R"].storageLevel == StorageLevel.NONE
+        check()
 
 
 class TestDefaultAttributeColumns:
