@@ -84,7 +84,6 @@ class RunStats:
 
     traces: list[StepTrace] = field(default_factory=list)
     reduced_sizes: dict[str, int] = field(default_factory=dict)
-    output_rows: int | None = None
 
     @property
     def supersteps(self) -> int:

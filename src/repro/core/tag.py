@@ -149,15 +149,6 @@ class TAGGraph:
                 stats.edges[f"{name}.{col}"] = n
         return stats
 
-    def attribute_vertices(self, pairs: list[tuple[str, str]]) -> DataFrame:
-        """Distinct attribute-vertex values across the given ``R.A`` labels
-        (one vertex per value, shared across labels — §3 step 2)."""
-        frames = [self.edge(r, c).select(VAL) for r, c in pairs]
-        out = frames[0]
-        for f_ in frames[1:]:
-            out = out.unionByName(f_)
-        return out.distinct()
-
     def unpersist(self) -> None:
         """Drop the tuple tables' caches; the edge tables hold none."""
         for t in self.tuples.values():

@@ -15,14 +15,12 @@ Spark SQL. Offline substitutions (DESIGN.md):
 Methodology mirrors §8.1.5: one warm-up run, then ``reps`` timed runs,
 reporting the average. Results are materialised (``collect``) so both
 engines pay their full execution cost. Communication is metered as TAG
-message counts (RunStats) and, when the Spark UI is reachable, shuffle
-read/write bytes from the status REST API for *both* Spark-backed systems.
+message counts (RunStats) and, for *both* Spark-backed systems, the
+shuffle-write bytes of the timed runs (``shuffle_write_bytes``).
 """
 from __future__ import annotations
 
-import json
 import time
-import urllib.request
 from dataclasses import dataclass, field
 
 import duckdb
@@ -47,42 +45,21 @@ class QueryResult:
     shuffle_bytes: int | None = None  # Spark shuffle write delta
 
 
-class ShuffleMeter:
-    """Total shuffle-write bytes from the Spark UI REST API (if enabled).
+def shuffle_write_bytes(spark: SparkSession) -> int:
+    """Shuffle-write bytes of every executor since the session started.
 
     The distributed experiment (§8.6.3) reports network traffic via `sar`;
     locally the equivalent quantity is the bytes crossing the shuffle — the
-    data that would traverse the network on a cluster. Returns None when
-    the UI is disabled (the conftest default)."""
-
-    def __init__(self, spark: SparkSession):
-        self.spark = spark
-        self._base = None
-        try:
-            ui = spark.sparkContext.uiWebUrl
-            if ui:
-                app_id = spark.sparkContext.applicationId
-                self._base = f"{ui}/api/v1/applications/{app_id}"
-        except Exception:
-            self._base = None
-
-    def total_shuffle_write(self) -> int | None:
-        if not self._base:
-            return None
-        try:
-            with urllib.request.urlopen(
-                f"{self._base}/stages?status=complete", timeout=5
-            ) as r:
-                stages = json.load(r)
-            return sum(s.get("shuffleWriteBytes", 0) for s in stages)
-        except Exception:
-            return None
-
-    def delta(self, before: int | None) -> int | None:
-        after = self.total_shuffle_write()
-        if before is None or after is None:
-            return None
-        return max(0, after - before)
+    data that would traverse the network on a cluster. The driver's status
+    store keeps this per-executor counter with the Spark UI on or off, and
+    no stage-retention limit applies to it. The listener bus is drained
+    first so every finished task is counted."""
+    sc = spark.sparkContext._jsc.sc()
+    sc.listenerBus().waitUntilEmpty()
+    executors = sc.statusStore().executorList(False)
+    return sum(
+        executors.apply(i).totalShuffleWrite() for i in range(executors.size())
+    )
 
 
 class BenchRunner:
@@ -101,12 +78,9 @@ class BenchRunner:
         self.graph = graph
         self.reps = reps
         self.warmup = warmup
-        self.meter = ShuffleMeter(spark)
         self._duck = duckdb.connect()
         for name, df in tables.items():
             self._duck.register(name, df.toPandas())
-        for name, df in tables.items():
-            df.createOrReplaceTempView(name)
 
     def close(self) -> None:
         self._duck.close()
@@ -140,9 +114,7 @@ class BenchRunner:
         }[system]
         for _ in range(self.warmup):
             rows = fn(q)
-        shuffle_before = (
-            self.meter.total_shuffle_write() if system != "duckdb" else None
-        )
+        shuffle_before = shuffle_write_bytes(self.spark)
         runs = []
         for _ in range(self.reps):
             t0 = time.perf_counter()
@@ -157,7 +129,9 @@ class BenchRunner:
             agg_class=q.agg_class,
             paper_class=q.paper_class,
             shuffle_bytes=(
-                self.meter.delta(shuffle_before) if system != "duckdb" else None
+                shuffle_write_bytes(self.spark) - shuffle_before
+                if system != "duckdb"
+                else None
             ),
         )
         if system == "tag" and with_messages:

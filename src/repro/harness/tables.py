@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from pyspark.sql import SparkSession
 
@@ -37,7 +37,7 @@ from .loading import (
     load_tag,
 )
 from .memory import PeakRssSampler
-from .runner import BenchRunner, QueryResult, speedup_class
+from .runner import BenchRunner, speedup_class
 
 #: paper SF → our SF
 SF_MAP = {30: 0.025, 50: 0.05, 75: 0.1}
@@ -56,16 +56,27 @@ def _benchmark(name: str):
     raise ValueError(name)
 
 
-def build_bench(
+@contextmanager
+def bench(
     spark: SparkSession, benchmark: str, sf: float, reps: int = 2
-) -> BenchRunner:
-    gen, queries, _, _ = _benchmark(benchmark)
+) -> Iterator[BenchRunner]:
+    """A runner over ``benchmark``'s tables at ``sf``, cached, and their
+    materialised TAG graph. On exit the graph and the tables are
+    unpersisted and the runner's DuckDB connection is closed."""
+    gen, _, _, _ = _benchmark(benchmark)
     tables = {k: v.cache() for k, v in gen(spark, sf=sf).items()}
     for df in tables.values():
         df.count()
     graph = TAGGraph.encode(spark, tables)
     graph.materialize()
-    return BenchRunner(spark, tables, graph, reps=reps)
+    runner = BenchRunner(spark, tables, graph, reps=reps)
+    try:
+        yield runner
+    finally:
+        graph.unpersist()
+        for df in tables.values():
+            df.unpersist()
+        runner.close()
 
 
 def run_suite(
@@ -74,7 +85,6 @@ def run_suite(
     sfs: Iterable[float] = DEFAULT_SFS,
     reps: int = 2,
     systems=("tag", "spark_sql", "duckdb"),
-    with_messages: bool = False,
     queries: dict | None = None,
 ) -> dict:
     """Time every query × system at every SF; returns a JSON-able dict."""
@@ -82,16 +92,8 @@ def run_suite(
     queries = queries or all_queries
     out = {"benchmark": benchmark, "reps": reps, "sfs": {}}
     for sf in sfs:
-        runner = build_bench(spark, benchmark, sf, reps=reps)
-        try:
-            results = runner.run_workload(
-                queries, systems=systems, with_messages=with_messages
-            )
-        finally:
-            runner.graph.unpersist()
-            for df in runner.tables.values():
-                df.unpersist()
-            runner.close()
+        with bench(spark, benchmark, sf, reps=reps) as runner:
+            results = runner.run_workload(queries, systems=systems)
         out["sfs"][str(sf)] = [asdict(r) for r in results]
     return out
 
@@ -128,10 +130,6 @@ def render_table(headers: list[str], rows: list[list], title: str = "") -> str:
     for r in cells:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def _by(results: list[dict], sf: float) -> dict[tuple[str, str], dict]:
-    return {(r["query"], r["system"]): r for r in results}
 
 
 def _mean(results: list[dict], query: str, system: str) -> float:
@@ -197,10 +195,13 @@ TABLE3_QUERIES = {"LA": ["q3", "q4", "q5", "q10"], "Corr": ["q2", "q17", "q20"]}
 TABLE4_QUERIES = ["q1", "q6", "q7", "q9", "q19"]
 
 
-def table_03(results_75: list[dict]) -> tuple[str, dict]:
-    """Table 3: TAG runtime + speedup over each system, LA + Corr queries."""
+def _speedups(
+    results_75: list[dict], selected: dict[str, list[str]], title: str
+) -> tuple[str, dict]:
+    """TAG runtime + speedup over each system for the ``selected`` queries
+    of each class (Tables 3 and 6)."""
     rows, data = [], []
-    for cls, names in TABLE3_QUERIES.items():
+    for cls, names in selected.items():
         for q in names:
             tag = _mean(results_75, q, "tag")
             duck = _mean(results_75, q, "duckdb")
@@ -212,12 +213,17 @@ def table_03(results_75: list[dict]) -> tuple[str, dict]:
                 {"class": cls, "query": q, "tag_s": tag,
                  "duckdb_speedup": duck / tag, "spark_sql_speedup": sql / tag}
             )
-    text = render_table(
-        ["query", "TAG_s", "duckdb", "spark_sql"],
-        rows,
+    text = render_table(["query", "TAG_s", "duckdb", "spark_sql"], rows, title)
+    return text, {"rows": data}
+
+
+def table_03(results_75: list[dict]) -> tuple[str, dict]:
+    """Table 3: TAG runtime + speedup over each system, LA + Corr queries."""
+    return _speedups(
+        results_75,
+        TABLE3_QUERIES,
         "Table 3: TPC-H LA & correlated queries @ largest SF (TAG speedups)",
     )
-    return text, {"rows": data}
 
 
 def table_04(results_75: list[dict]) -> tuple[str, dict]:
@@ -275,25 +281,12 @@ TABLE6_QUERIES = {
 
 
 def table_06(results_75: list[dict]) -> tuple[str, dict]:
-    rows, data = [], []
-    for cls, names in TABLE6_QUERIES.items():
-        for q in names:
-            tag = _mean(results_75, q, "tag")
-            duck = _mean(results_75, q, "duckdb")
-            sql = _mean(results_75, q, "spark_sql")
-            rows.append(
-                [f"{cls}:{q}", tag, f"{duck / tag:.1f}x", f"{sql / tag:.1f}x"]
-            )
-            data.append(
-                {"class": cls, "query": q, "tag_s": tag,
-                 "duckdb_speedup": duck / tag, "spark_sql_speedup": sql / tag}
-            )
-    text = render_table(
-        ["query", "TAG_s", "duckdb", "spark_sql"],
-        rows,
+    """Table 6: TAG runtime + speedup over each system, per TPC-DS class."""
+    return _speedups(
+        results_75,
+        TABLE6_QUERIES,
         "Table 6: selected TPC-DS queries @ largest SF (TAG speedups)",
     )
-    return text, {"rows": data}
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +300,13 @@ def table_07(
     data = {}
     for benchmark in ("tpch", "tpcds"):
         _, queries, _, _ = _benchmark(benchmark)
-        runner = build_bench(spark, benchmark, sf, reps=reps)
-        try:
+        with bench(spark, benchmark, sf, reps=reps) as runner:
             per_system = {}
             for system in ("tag", "spark_sql", "duckdb"):
                 with PeakRssSampler(interval=0.5) as sampler:
                     runner.run_workload(queries, systems=(system,))
                 per_system[system] = sampler.peak_fraction
             data[benchmark] = per_system
-        finally:
-            runner.graph.unpersist()
-            for df in runner.tables.values():
-                df.unpersist()
-            runner.close()
     rows = [
         [bm] + [f"{data[bm][s] * 100:.1f}%" for s in ("tag", "spark_sql", "duckdb")]
         for bm in data
@@ -444,26 +431,20 @@ def table_distributed(
     """Tables 16/17: TAG-join vs Spark SQL under a shuffle-heavy config.
 
     The cluster becomes many shuffle partitions on one box; communication is
-    metered as TAG message counts and (if the UI is up) shuffle bytes — the
-    local equivalent of Figure 9(b)'s network traffic."""
+    metered as TAG message counts and shuffle-write bytes — the local
+    equivalent of Figure 9(b)'s network traffic."""
     n = 16 if benchmark == "tpch" else 17
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
         _, queries, _, _ = _benchmark(benchmark)
-        runner = build_bench(spark, benchmark, sf, reps=reps)
-        try:
+        with bench(spark, benchmark, sf, reps=reps) as runner:
             results = runner.run_workload(
                 queries, systems=("tag", "spark_sql"), with_messages=True
             )
-        finally:
-            runner.graph.unpersist()
-            for df in runner.tables.values():
-                df.unpersist()
-            runner.close()
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)
-    res = [asdict(r) if isinstance(r, QueryResult) else r for r in results]
+    res = [asdict(r) for r in results]
     queries_names = sorted({r["query"] for r in res})
     rows = []
     for q in queries_names:
@@ -502,17 +483,14 @@ def table_distributed(
 # ---------------------------------------------------------------------------
 
 
-def job_session(app: str, ui: bool = True) -> SparkSession:
-    """Session for spark-submit jobs (tests use the conftest fixture).
-
-    The UI is enabled by default so the ShuffleMeter can read shuffle
-    bytes for the network-traffic proxy."""
+def job_session(app: str) -> SparkSession:
+    """Session for the table jobs (tests use the conftest fixture), with the
+    conftest's shuffle-partition, Arrow and broadcast-join settings."""
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", str(ui).lower())
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

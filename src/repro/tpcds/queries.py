@@ -15,8 +15,9 @@ Names anchor to the TPC-DS query each one emulates; bodies are simplified
 to the TPC-DS-lite schema (see DESIGN.md substitutions). Queries derive
 their TAG spec from their own SQL and a root
 (:meth:`repro.query.Query.derived`), ds_q6 through the deriver's subquery
-decorrelation. Only ds_q33 (channel union) and ds_q98 (eager group-by, a
-plan choice its SQL does not state) hand-write their plans.
+decorrelation. ds_q33's channels derive from their own SQL, and only its
+union step is written by hand, as is ds_q98's plan (eager group-by, a plan
+choice its SQL does not state).
 """
 from __future__ import annotations
 
@@ -91,39 +92,27 @@ WHERE ws_item_sk = i_item_sk AND i_category IN ('Books', 'Home')
 GROUP BY i_item_id, i_category
 """)
 
-def _channel_spec(name: str, fact: str, prefix: str) -> QuerySpec:
+
+def _channel_sql(fact: str, prefix: str) -> str:
     """One channel of ds_q33: fact ⋈ item(Electronics) ⋈ date(2000-01),
     eagerly aggregated by manufacturer."""
-    return QuerySpec(
-        name=name,
-        root=Node(
-            relation=fact,
-            need=[f"{prefix}_ext_sales_price"],
-            children=[
-                Node(
-                    relation="item",
-                    parent_join=(f"{prefix}_item_sk", "i_item_sk"),
-                    filter="i_category = 'Electronics'",
-                    need=["i_manufact_id"],
-                ),
-                Node(
-                    relation="date_dim",
-                    parent_join=(f"{prefix}_sold_date_sk", "d_date_sk"),
-                    filter="d_year = 2000 AND d_moy = 1",
-                ),
-            ],
-        ),
-        group_by=["i_manufact_id"],
-        aggregates=[(f"sum({prefix}_ext_sales_price)", "total_sales")],
-        agg_class="LA",
-    )
+    return f"""SELECT i_manufact_id, sum({prefix}_ext_sales_price) AS total_sales
+            FROM {fact}, date_dim, item
+            WHERE {prefix}_item_sk = i_item_sk AND {prefix}_sold_date_sk = d_date_sk
+              AND d_year = 2000 AND d_moy = 1 AND i_category = 'Electronics'
+            GROUP BY i_manufact_id"""
 
 
+_Q33_FACTS = {"ss": "store_sales", "cs": "catalog_sales", "ws": "web_sales"}
 _Q33_CHANNELS = [
-    _channel_spec("ds_q33_ss", "store_sales", "ss"),
-    _channel_spec("ds_q33_cs", "catalog_sales", "cs"),
-    _channel_spec("ds_q33_ws", "web_sales", "ws"),
+    QuerySpec.from_sql(
+        _channel_sql(fact, prefix), fact, PREFIXES, name=f"ds_q33_{prefix}"
+    )
+    for prefix, fact in _Q33_FACTS.items()
 ]
+for _spec in _Q33_CHANNELS:
+    _spec.agg_class = "LA"  # one group key, item's: a local aggregation
+    _spec.validate()
 
 
 def _q33_tag(graph: TAGGraph, stats: bool = False):
@@ -146,22 +135,11 @@ def _q33_tag(graph: TAGGraph, stats: bool = False):
     return out, all_stats
 
 
-_hand("ds_q33", "LA", "Local", """
-WITH ss AS (SELECT i_manufact_id, sum(ss_ext_sales_price) AS total_sales
-            FROM store_sales, date_dim, item
-            WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
-              AND d_year = 2000 AND d_moy = 1 AND i_category = 'Electronics'
-            GROUP BY i_manufact_id),
-     cs AS (SELECT i_manufact_id, sum(cs_ext_sales_price) AS total_sales
-            FROM catalog_sales, date_dim, item
-            WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk
-              AND d_year = 2000 AND d_moy = 1 AND i_category = 'Electronics'
-            GROUP BY i_manufact_id),
-     ws AS (SELECT i_manufact_id, sum(ws_ext_sales_price) AS total_sales
-            FROM web_sales, date_dim, item
-            WHERE ws_item_sk = i_item_sk AND ws_sold_date_sk = d_date_sk
-              AND d_year = 2000 AND d_moy = 1 AND i_category = 'Electronics'
-            GROUP BY i_manufact_id)
+_Q33_WITH = ",\n     ".join(
+    f"{prefix} AS ({_channel_sql(fact, prefix)})" for prefix, fact in _Q33_FACTS.items()
+)
+_hand("ds_q33", "LA", "Local", f"""
+WITH {_Q33_WITH}
 SELECT i_manufact_id AS i_manufact_id, sum(total_sales) AS total_sales
 FROM (SELECT * FROM ss UNION ALL SELECT * FROM cs UNION ALL SELECT * FROM ws) u
 GROUP BY i_manufact_id

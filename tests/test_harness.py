@@ -1,7 +1,12 @@
 """Harness tests: runner, loading, memory, table renderers."""
 from __future__ import annotations
 
+import contextlib
+
+import duckdb
 import pytest
+from pyspark import StorageLevel
+from pyspark.sql import functions as F
 
 from repro.harness import tables as T
 from repro.harness.loading import (
@@ -17,7 +22,7 @@ from repro.harness.memory import (
     process_tree_rss_bytes,
     total_system_memory_bytes,
 )
-from repro.harness.runner import BenchRunner, ShuffleMeter, speedup_class
+from repro.harness.runner import BenchRunner, shuffle_write_bytes, speedup_class
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
 
 BENCH_SF = 0.002
@@ -39,6 +44,7 @@ class TestRunner:
         assert res.rows == 1  # scalar aggregate
         if system == "tag":
             assert res.messages is not None and res.messages >= 0
+        assert (res.shuffle_bytes is None) == (system == "duckdb")
 
     def test_systems_agree_on_row_counts(self, runner):
         q = TPCH_QUERIES["q3"]
@@ -53,12 +59,20 @@ class TestRunner:
         )
         assert {r.system for r in res} == {"duckdb", "tag"}
 
-    def test_shuffle_meter_graceful_when_ui_disabled(self, spark):
-        meter = ShuffleMeter(spark)
-        # conftest disables the UI → meter returns None rather than failing
-        assert meter.total_shuffle_write() is None or isinstance(
-            meter.total_shuffle_write(), int
-        )
+    def test_shuffle_write_bytes_meters_a_shuffled_join(self, spark, tpch_data):
+        """The conftest session runs with the UI and broadcast joins off: a
+        shuffled join writes shuffle bytes, an identical run as many. Each
+        run plans afresh: one DataFrame's second action reuses its shuffle."""
+        orders, customer = tpch_data["orders"], tpch_data["customer"]
+
+        def delta() -> int:
+            before = shuffle_write_bytes(spark)
+            orders.join(customer, F.col("o_custkey") == F.col("c_custkey")).collect()
+            return shuffle_write_bytes(spark) - before
+
+        first = delta()
+        assert first > 0
+        assert delta() == first
 
     @pytest.mark.parametrize(
         "tag_s,other_s,expected",
@@ -142,6 +156,19 @@ class TestTables:
         assert {r["query"] for r in results} == {"q6", "q19"}
         text, _ = T.table_all_queries(suite, "tpch")
         assert "q6" in text and "tag_s" in text
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["exits", "raises"])
+    def test_bench_releases_caches_and_duckdb(self, spark, raises):
+        failing = pytest.raises(RuntimeError) if raises else contextlib.nullcontext()
+        with failing:
+            with T.bench(spark, "tpch", BENCH_SF, reps=1) as runner:
+                frames = [*runner.graph.tuples.values(), *runner.tables.values()]
+                assert all(df.storageLevel != StorageLevel.NONE for df in frames)
+                if raises:
+                    raise RuntimeError("body failed")
+        assert all(df.storageLevel == StorageLevel.NONE for df in frames)
+        with pytest.raises(duckdb.ConnectionException):
+            runner._duck.execute("SELECT 1")
 
     def test_table_selectors_from_results(self):
         fake = []

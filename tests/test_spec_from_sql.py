@@ -421,7 +421,8 @@ def test_generated_columns_carry_their_table_prefix(spark, gens, prefixes):
 
 
 # ---------------------------------------------------------------------------
-# The derived q3 and ds_q37 against the hand specs they replaced
+# The derived q3, ds_q37 and ds_q33 channels against the hand specs they
+# replaced
 # ---------------------------------------------------------------------------
 
 HAND_Q3 = Node(
@@ -451,23 +452,52 @@ HAND_DS_Q37 = Node(
 )
 
 
+def hand_ds_q33_channel(fact: str, prefix: str) -> Node:
+    """fact ⋈ item(Electronics) ⋈ date(2000-01)."""
+    return Node(
+        relation=fact,
+        need=[f"{prefix}_ext_sales_price"],
+        children=[
+            Node(
+                relation="item",
+                parent_join=(f"{prefix}_item_sk", "i_item_sk"),
+                filter="i_category = 'Electronics'",
+                need=["i_manufact_id"],
+            ),
+            Node(
+                relation="date_dim",
+                parent_join=(f"{prefix}_sold_date_sk", "d_date_sk"),
+                filter="d_year = 2000 AND d_moy = 1",
+            ),
+        ],
+    )
+
+
+Q33_CHANNELS = {spec.name: spec for spec in ds._Q33_CHANNELS}
+Q33_FACTS = [("ss", "store_sales"), ("cs", "catalog_sales"), ("ws", "web_sales")]
+
+
 def _optimized(df) -> str:
     return df._jdf.queryExecution().optimizedPlan().toString()
 
 
 class TestPinnedAgainstHandSpecs:
     @pytest.mark.parametrize(
-        "query, hand, reduction_only, graph_fixture",
+        "derived, hand, reduction_only, graph_fixture",
         [
-            (h.QUERIES["q3"], HAND_Q3, False, "tpch_graph"),
-            (ds.QUERIES["ds_q37"], HAND_DS_Q37, True, "tpcds_graph"),
+            (h.QUERIES["q3"].spec, HAND_Q3, False, "tpch_graph"),
+            (ds.QUERIES["ds_q37"].spec, HAND_DS_Q37, True, "tpcds_graph"),
+        ]
+        + [
+            (Q33_CHANNELS[f"ds_q33_{prefix}"], hand_ds_q33_channel(fact, prefix),
+             False, "tpcds_graph")
+            for prefix, fact in Q33_FACTS
         ],
-        ids=["q3", "ds_q37"],
+        ids=["q3", "ds_q37"] + [f"ds_q33_{prefix}" for prefix, _ in Q33_FACTS],
     )
     def test_same_plan_as_hand_spec(
-        self, request, query, hand, reduction_only, graph_fixture
+        self, request, derived, hand, reduction_only, graph_fixture
     ):
-        derived = query.spec
         assert derived.root.name == hand.name
         assert derived.reduction_only is reduction_only
         pairs = list(zip(derived.nodes(), hand.walk(), strict=True))
@@ -483,3 +513,14 @@ class TestPinnedAgainstHandSpecs:
                 assert _optimized(tuples.where(d.filter)) == _optimized(
                     tuples.where(n.filter)
                 )
+
+    @pytest.mark.parametrize("prefix", [p for p, _ in Q33_FACTS])
+    def test_ds_q33_channel_aggregates_as_hand_spec(self, prefix):
+        spec = Q33_CHANNELS[f"ds_q33_{prefix}"]
+        assert spec.group_by == ["i_manufact_id"]
+        assert spec.aggregates == [(f"sum({prefix}_ext_sales_price)", "total_sales")]
+        assert spec.select == [
+            ("i_manufact_id", "i_manufact_id"), ("total_sales", "total_sales")
+        ]
+        assert spec.agg_class == "LA"
+        assert spec.post_filter is None and not spec.lookups

@@ -44,8 +44,11 @@ class TestEncoding:
     def test_attribute_vertices_shared_across_relations(self, small_graph):
         g, _ = small_graph
         # value "x" occurs in R.b and S.b but is one attribute vertex (§3
-        # step 2): the distinct union over the labels counts it once.
-        vals = g.attribute_vertices([("R", "b"), ("S", "b")]).toPandas()
+        # step 2): the distinct union of the labels' values counts it once.
+        vals = (
+            g.edge("R", "b").select(VAL).union(g.edge("S", "b").select(VAL))
+            .distinct().toPandas()
+        )
         assert sorted(vals[VAL]) == ["x", "y"]
 
     def test_float_columns_not_materialized_by_default(self, small_graph):
