@@ -102,9 +102,3 @@ def _root_frame(df: DataFrame, root: Node) -> DataFrame:
     """The root tuples' needed columns, named as collection names them."""
     cols = root.need or [c for c in df.columns if not c.startswith("__")]
     return df.select([F.col(c).alias(qualify(root, c)) for c in cols])
-
-
-def scalar_lookup(df: DataFrame, col: str) -> float:
-    """Collect a 1-row scalar aggregate (the global-aggregator read-back)."""
-    row = df.collect()[0]
-    return row[col]

@@ -72,13 +72,6 @@ class LoadResult:
     detail: str = ""
 
 
-@dataclass
-class StorageResult:
-    fmt: str
-    data_bytes: int
-    detail: str = ""
-
-
 def load_tag(spark: SparkSession, tables: dict[str, DataFrame]) -> tuple[LoadResult, TAGGraph]:
     """Build + materialise the TAG graph; no separate index build (§8.2)."""
     t0 = time.perf_counter()

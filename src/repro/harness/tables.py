@@ -3,9 +3,12 @@
 Scale-factor mapping (DESIGN.md): the paper's SF 30/50/75 (GB) become our
 SF 0.025/0.05/0.1 — same 1:2:3-ish progression, laptop-scale data.
 
-Each ``table_XX`` function prints rows shaped like the paper's table and
-returns the structured data; ``jobs/run.py <table-number…|all>`` runs
-them, and EXPERIMENTS.md records paper numbers next to ours.
+Each ``table_XX`` function measures or derives a table's structured data,
+which is saved under results/. One renderer per table turns that saved data
+into rows shaped like the paper's table (``RENDERERS``, ``render``): the
+same text ``jobs/run.py <table-number…|all>`` prints and
+``jobs/update_experiments.py`` writes into EXPERIMENTS.md, next to the
+paper's numbers.
 
 The timing-bearing tables (3/4/8–13 and 5/6/14 derived from them) share
 one measurement suite per benchmark (``run_suite``) so a query is timed
@@ -15,11 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from .. import synth_data
 from ..core.tag import TAGGraph
@@ -56,6 +60,17 @@ def _benchmark(name: str):
     raise ValueError(name)
 
 
+def _cached_tables(
+    spark: SparkSession, benchmark: str, sf: float
+) -> dict[str, DataFrame]:
+    """``benchmark``'s tables at ``sf``, cached and counted."""
+    gen, _, _, _ = _benchmark(benchmark)
+    tables = {k: v.cache() for k, v in gen(spark, sf=sf).items()}
+    for df in tables.values():
+        df.count()
+    return tables
+
+
 @contextmanager
 def bench(
     spark: SparkSession, benchmark: str, sf: float, reps: int = 2
@@ -63,10 +78,7 @@ def bench(
     """A runner over ``benchmark``'s tables at ``sf``, cached, and their
     materialised TAG graph. On exit the graph and the tables are
     unpersisted and the runner's DuckDB connection is closed."""
-    gen, _, _, _ = _benchmark(benchmark)
-    tables = {k: v.cache() for k, v in gen(spark, sf=sf).items()}
-    for df in tables.values():
-        df.count()
+    tables = _cached_tables(spark, benchmark, sf)
     graph = TAGGraph.encode(spark, tables)
     graph.materialize()
     runner = BenchRunner(spark, tables, graph, reps=reps)
@@ -132,6 +144,11 @@ def render_table(headers: list[str], rows: list[list], title: str = "") -> str:
     return "\n".join(lines)
 
 
+def largest(suite: dict) -> list[dict]:
+    """The results of ``suite``'s largest SF, which Tables 3–6 select from."""
+    return suite["sfs"][str(max(float(s) for s in suite["sfs"]))]
+
+
 def _mean(results: list[dict], query: str, system: str) -> float:
     for r in results:
         if r["query"] == query and r["system"] == system:
@@ -146,19 +163,15 @@ def _mean(results: list[dict], query: str, system: str) -> float:
 
 def table_loading(
     spark: SparkSession, benchmark: str, sfs: Iterable[float] = DEFAULT_SFS
-) -> tuple[str, dict]:
+) -> dict:
     """Tables 1/2: load time per system per SF (seconds). The paper's five
     RDBMS columns collapse to `duckdb` (load + PK/FK index build) and
     `spark_parquet`; `TAG_spark` is the graph build (no index build)."""
-    gen, _, pks, fks = _benchmark(benchmark)
+    _, _, pks, fks = _benchmark(benchmark)
     data: dict = {"benchmark": benchmark, "rows": []}
     for sf in sfs:
-        tables = {k: v.cache() for k, v in gen(spark, sf=sf).items()}
-        for df in tables.values():
-            df.count()
+        tables = _cached_tables(spark, benchmark, sf)
         duck, _ = load_duckdb(tables, pks, fks)
-        import tempfile
-
         with tempfile.TemporaryDirectory() as d:
             pq, pq_bytes = load_parquet(tables, d)
         tag, graph = load_tag(spark, tables)
@@ -175,16 +188,21 @@ def table_loading(
                 "tag_detail": tag.detail,
             }
         )
-    headers = ["system"] + [f"SF-{sf}" for sf in sfs]
-    by_system = {
-        "duckdb (load+index)": [r["duckdb_s"] for r in data["rows"]],
-        "spark parquet": [r["spark_parquet_s"] for r in data["rows"]],
-        "TAG_spark (graph build)": [r["tag_s"] for r in data["rows"]],
-    }
-    rows = [[name] + vals for name, vals in by_system.items()]
-    n = 1 if benchmark == "tpch" else 2
-    text = render_table(headers, rows, f"Table {n}: {benchmark} loading times (s)")
-    return text, data
+    return data
+
+
+def render_loading(data: dict) -> str:
+    """Tables 1/2: one row per SF."""
+    rows = [
+        [f"SF-{r['sf']}", r["duckdb_s"], r["spark_parquet_s"], r["tag_s"]]
+        for r in data["rows"]
+    ]
+    n = 1 if data["benchmark"] == "tpch" else 2
+    return render_table(
+        ["SF", "duckdb load+index (s)", "parquet (s)", "TAG build (s)"],
+        rows,
+        f"Table {n}: {data['benchmark']} loading times (s)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,52 +213,63 @@ TABLE3_QUERIES = {"LA": ["q3", "q4", "q5", "q10"], "Corr": ["q2", "q17", "q20"]}
 TABLE4_QUERIES = ["q1", "q6", "q7", "q9", "q19"]
 
 
-def _speedups(
-    results_75: list[dict], selected: dict[str, list[str]], title: str
-) -> tuple[str, dict]:
+def _speedups(results_75: list[dict], selected: dict[str, list[str]]) -> dict:
     """TAG runtime + speedup over each system for the ``selected`` queries
     of each class (Tables 3 and 6)."""
-    rows, data = [], []
+    data = []
     for cls, names in selected.items():
         for q in names:
             tag = _mean(results_75, q, "tag")
             duck = _mean(results_75, q, "duckdb")
             sql = _mean(results_75, q, "spark_sql")
-            rows.append(
-                [f"{cls}:{q}", tag, f"{duck / tag:.1f}x", f"{sql / tag:.1f}x"]
-            )
             data.append(
                 {"class": cls, "query": q, "tag_s": tag,
                  "duckdb_speedup": duck / tag, "spark_sql_speedup": sql / tag}
             )
-    text = render_table(["query", "TAG_s", "duckdb", "spark_sql"], rows, title)
-    return text, {"rows": data}
+    return {"rows": data}
 
 
-def table_03(results_75: list[dict]) -> tuple[str, dict]:
+def _render_speedups(data: dict, title: str) -> str:
+    rows = [
+        [f"{r['class']}:{r['query']}", r["tag_s"],
+         f"{r['duckdb_speedup']:.1f}x", f"{r['spark_sql_speedup']:.1f}x"]
+        for r in data["rows"]
+    ]
+    return render_table(["query", "TAG_s", "duckdb", "spark_sql"], rows, title)
+
+
+def table_03(results_75: list[dict]) -> dict:
     """Table 3: TAG runtime + speedup over each system, LA + Corr queries."""
-    return _speedups(
-        results_75,
-        TABLE3_QUERIES,
-        "Table 3: TPC-H LA & correlated queries @ largest SF (TAG speedups)",
+    return _speedups(results_75, TABLE3_QUERIES)
+
+
+def render_03(data: dict) -> str:
+    return _render_speedups(
+        data, "Table 3: TPC-H LA & correlated queries @ largest SF (TAG speedups)"
     )
 
 
-def table_04(results_75: list[dict]) -> tuple[str, dict]:
+def table_04(results_75: list[dict]) -> dict:
     """Table 4: GA / scalar-GA query runtimes (seconds, all systems)."""
-    rows, data = [], []
+    data = []
     for q in TABLE4_QUERIES:
         tag = _mean(results_75, q, "tag")
         duck = _mean(results_75, q, "duckdb")
         sql = _mean(results_75, q, "spark_sql")
-        rows.append([q, tag, duck, sql])
         data.append({"query": q, "tag_s": tag, "duckdb_s": duck, "spark_sql_s": sql})
-    text = render_table(
+    return {"rows": data}
+
+
+def render_04(data: dict) -> str:
+    rows = [
+        [r["query"], r["tag_s"], r["duckdb_s"], r["spark_sql_s"]]
+        for r in data["rows"]
+    ]
+    return render_table(
         ["query", "TAG_s", "duckdb_s", "spark_sql_s"],
         rows,
         "Table 4: TPC-H GA & scalar queries @ largest SF (runtimes)",
     )
-    return text, {"rows": data}
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +277,7 @@ def table_04(results_75: list[dict]) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def table_05(results_75: list[dict]) -> tuple[str, dict]:
+def table_05(results_75: list[dict]) -> dict:
     """Table 5: #queries where TAG outperforms / is competitive / is worse
     against each comparison system (>1.2x thresholds)."""
     queries = sorted({r["query"] for r in results_75})
@@ -260,16 +289,20 @@ def table_05(results_75: list[dict]) -> tuple[str, dict]:
                 speedup_class(_mean(results_75, q, "tag"), _mean(results_75, q, system))
             ] += 1
         data[system] = counts
+    return data
+
+
+def render_05(data: dict) -> str:
     rows = [
         [sys, c["outperforms"], c["competitive"], c["worse"]]
         for sys, c in data.items()
     ]
-    text = render_table(
+    n_queries = sum(data["duckdb"].values())
+    return render_table(
         ["vs system", "outperforms", "competitive", "worse"],
         rows,
-        f"Table 5: TPC-DS win/competitive/worse counts ({len(queries)} queries)",
+        f"Table 5: TPC-DS win/competitive/worse counts ({n_queries} queries)",
     )
-    return text, data
 
 
 TABLE6_QUERIES = {
@@ -280,12 +313,14 @@ TABLE6_QUERIES = {
 }
 
 
-def table_06(results_75: list[dict]) -> tuple[str, dict]:
+def table_06(results_75: list[dict]) -> dict:
     """Table 6: TAG runtime + speedup over each system, per TPC-DS class."""
-    return _speedups(
-        results_75,
-        TABLE6_QUERIES,
-        "Table 6: selected TPC-DS queries @ largest SF (TAG speedups)",
+    return _speedups(results_75, TABLE6_QUERIES)
+
+
+def render_06(data: dict) -> str:
+    return _render_speedups(
+        data, "Table 6: selected TPC-DS queries @ largest SF (TAG speedups)"
     )
 
 
@@ -294,9 +329,7 @@ def table_06(results_75: list[dict]) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def table_07(
-    spark: SparkSession, sf: float = 0.1, reps: int = 1
-) -> tuple[str, dict]:
+def table_07(spark: SparkSession, sf: float = 0.1, reps: int = 1) -> dict:
     data = {}
     for benchmark in ("tpch", "tpcds"):
         _, queries, _, _ = _benchmark(benchmark)
@@ -307,16 +340,19 @@ def table_07(
                     runner.run_workload(queries, systems=(system,))
                 per_system[system] = sampler.peak_fraction
             data[benchmark] = per_system
+    return data
+
+
+def render_07(data: dict) -> str:
     rows = [
         [bm] + [f"{data[bm][s] * 100:.1f}%" for s in ("tag", "spark_sql", "duckdb")]
         for bm in data
     ]
-    text = render_table(
+    return render_table(
         ["benchmark", "tag", "spark_sql", "duckdb"],
         rows,
         "Table 7: peak RAM (process tree RSS / machine RAM) during workload",
     )
-    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +360,11 @@ def table_07(
 # ---------------------------------------------------------------------------
 
 
-def table_all_queries(suite: dict, benchmark: str) -> tuple[str, dict]:
-    """Tables 8/9/10 (TPC-H) or 11/12/13 (TPC-DS): per-query runtimes at
-    each SF, all systems."""
+def render_all_queries(suite: dict) -> str:
+    """Tables 8/9/10 (TPC-H) or 11/12/13 (TPC-DS) from ``run_suite``'s
+    results: per-query runtimes at each SF, all systems."""
     texts = []
+    benchmark = suite["benchmark"]
     base = 8 if benchmark == "tpch" else 11
     for i, (sf, results) in enumerate(sorted(suite["sfs"].items(), reverse=True)):
         queries = sorted({r["query"] for r in results})
@@ -346,7 +383,7 @@ def table_all_queries(suite: dict, benchmark: str) -> tuple[str, dict]:
                 f"Table {base + i}: {benchmark} per-query runtimes @ SF {sf}",
             )
         )
-    return "\n\n".join(texts), suite
+    return "\n\n".join(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +391,7 @@ def table_all_queries(suite: dict, benchmark: str) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def table_14(suite_h: dict, suite_ds: dict) -> tuple[str, dict]:
+def table_14(suite_h: dict, suite_ds: dict) -> dict:
     data = {}
     for name, suite in (("TPC-H", suite_h), ("TPC-DS", suite_ds)):
         for sf, results in sorted(suite["sfs"].items()):
@@ -363,12 +400,15 @@ def table_14(suite_h: dict, suite_ds: dict) -> tuple[str, dict]:
                     r["mean_s"] for r in results if r["system"] == system
                 )
                 data.setdefault(system, {})[f"{name}@{sf}"] = total
+    return data
+
+
+def render_14(data: dict) -> str:
     cols = sorted(next(iter(data.values())).keys())
     rows = [[system] + [data[system][c] for c in cols] for system in data]
-    text = render_table(
+    return render_table(
         ["system"] + cols, rows, "Table 14: aggregate runtimes (s)"
     )
-    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +416,9 @@ def table_14(suite_h: dict, suite_ds: dict) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 
 
-def table_15(
-    spark: SparkSession, sfs: Iterable[float] = DEFAULT_SFS
-) -> tuple[str, dict]:
+def table_15(spark: SparkSession, sfs: Iterable[float] = DEFAULT_SFS) -> dict:
     """Table 15: uncompressed in-memory (Arrow) size vs compressed columnar
     (parquet) size — the RDBMS-X IM column-store compression analogue."""
-    import tempfile
-
     data = {"rows": []}
     for benchmark in ("tpch", "tpcds"):
         gen, *_ = _benchmark(benchmark)
@@ -399,6 +435,10 @@ def table_15(
                     "parquet_bytes": pq_bytes,
                 }
             )
+    return data
+
+
+def render_15(data: dict) -> str:
     rows = [
         [
             r["benchmark"],
@@ -408,12 +448,11 @@ def table_15(
         ]
         for r in data["rows"]
     ]
-    text = render_table(
+    return render_table(
         ["benchmark", "SF", "in-memory MB", "columnar MB"],
         rows,
         "Table 15: data size vs compressed columnar size",
     )
-    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +466,12 @@ def table_distributed(
     sf: float = 0.1,
     reps: int = 2,
     shuffle_partitions: int = 192,
-) -> tuple[str, dict]:
+) -> dict:
     """Tables 16/17: TAG-join vs Spark SQL under a shuffle-heavy config.
 
     The cluster becomes many shuffle partitions on one box; communication is
     metered as TAG message counts and shuffle-write bytes — the local
     equivalent of Figure 9(b)'s network traffic."""
-    n = 16 if benchmark == "tpch" else 17
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
@@ -445,29 +483,11 @@ def table_distributed(
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)
     res = [asdict(r) for r in results]
-    queries_names = sorted({r["query"] for r in res})
-    rows = []
-    for q in queries_names:
-        tag = _mean(res, q, "tag")
-        sql = _mean(res, q, "spark_sql")
-        msg = next(
-            (r["messages"] for r in res if r["query"] == q and r["system"] == "tag"),
-            None,
-        )
-        rows.append([q, sql, tag, msg if msg is not None else "-"])
     tag_total = sum(r["mean_s"] for r in res if r["system"] == "tag")
     sql_total = sum(r["mean_s"] for r in res if r["system"] == "spark_sql")
     tag_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "tag")
     sql_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "spark_sql")
-    rows.append(["TOTAL", sql_total, tag_total, ""])
-    text = render_table(
-        ["query", "spark_sql_s", "TAG_s", "TAG msgs"],
-        rows,
-        f"Table {n}: distributed-mode {benchmark} (shuffle partitions="
-        f"{shuffle_partitions}); totals incl. shuffle bytes "
-        f"(spark_sql={sql_sb}, tag={tag_sb})",
-    )
-    return text, {
+    return {
         "results": res,
         "totals": {
             "tag_s": tag_total,
@@ -476,6 +496,57 @@ def table_distributed(
             "spark_sql_shuffle_bytes": sql_sb,
         },
     }
+
+
+def _render_distributed(data: dict, title: str) -> str:
+    """One row per query (TAG's message count last), then a TOTAL row with
+    both systems' summed runtimes and shuffle-write bytes."""
+    res = data["results"]
+    rows = [
+        [q, _mean(res, q, "spark_sql"), _mean(res, q, "tag"),
+         next(r["messages"] for r in res if r["query"] == q and r["system"] == "tag")]
+        for q in sorted({r["query"] for r in res})
+    ]
+    t = data["totals"]
+    rows.append(
+        ["TOTAL", t["spark_sql_s"], t["tag_s"],
+         f"shuffleB sql={t['spark_sql_shuffle_bytes']} tag={t['tag_shuffle_bytes']}"]
+    )
+    return render_table(["query", "spark_sql_s", "TAG_s", "TAG msgs"], rows, title)
+
+
+def render_16(data: dict) -> str:
+    return _render_distributed(data, "Table 16: distributed-mode tpch, TAG vs Spark SQL")
+
+
+def render_17(data: dict) -> str:
+    return _render_distributed(data, "Table 17: distributed-mode tpcds, TAG vs Spark SQL")
+
+
+#: EXPERIMENTS.md marker → (the results/*.json its table is saved in, the
+#: renderer of that saved data). Tables 9/10 and 12/13 render inside
+#: TABLE08 and TABLE11.
+RENDERERS: dict[str, tuple[str, Callable[[dict], str]]] = {
+    "TABLE01": ("table01_tpch_loading.json", render_loading),
+    "TABLE02": ("table02_tpcds_loading.json", render_loading),
+    "TABLE03": ("table03.json", render_03),
+    "TABLE04": ("table04.json", render_04),
+    "TABLE05": ("table05.json", render_05),
+    "TABLE06": ("table06.json", render_06),
+    "TABLE07": ("table07.json", render_07),
+    "TABLE08": ("suite_tpch.json", render_all_queries),
+    "TABLE11": ("suite_tpcds.json", render_all_queries),
+    "TABLE14": ("table14.json", render_14),
+    "TABLE15": ("table15.json", render_15),
+    "TABLE16": ("table16.json", render_16),
+    "TABLE17": ("table17.json", render_17),
+}
+
+
+def render(marker: str) -> str:
+    """The text of ``marker``'s table, rendered from its saved results."""
+    name, render_data = RENDERERS[marker]
+    return render_data(load_json(name))
 
 
 # ---------------------------------------------------------------------------

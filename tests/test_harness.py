@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import re
+import shutil
 
 import duckdb
 import pytest
@@ -26,6 +29,8 @@ from repro.harness.runner import BenchRunner, shuffle_write_bytes, speedup_class
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
 
 BENCH_SF = 0.002
+REPO = os.path.join(os.path.dirname(__file__), "..")
+COMMITTED_RESULTS = os.path.join(REPO, "results")
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +159,7 @@ class TestTables:
         results = suite["sfs"][str(BENCH_SF)]
         assert {r["system"] for r in results} == {"duckdb", "tag"}
         assert {r["query"] for r in results} == {"q6", "q19"}
-        text, _ = T.table_all_queries(suite, "tpch")
+        text = T.render_all_queries(suite)
         assert "q6" in text and "tag_s" in text
 
     @pytest.mark.parametrize("raises", [False, True], ids=["exits", "raises"])
@@ -175,9 +180,9 @@ class TestTables:
         for q in sum(T.TABLE3_QUERIES.values(), []) + T.TABLE4_QUERIES:
             for s, v in (("tag", 1.0), ("duckdb", 2.0), ("spark_sql", 4.0)):
                 fake.append({"query": q, "system": s, "mean_s": v})
-        t3, d3 = T.table_03(fake)
+        t3 = T.render_03(T.table_03(fake))
         assert "2.0x" in t3 and "4.0x" in t3
-        t4, d4 = T.table_04(fake)
+        t4 = T.render_04(T.table_04(fake))
         assert "q1" in t4
 
     def test_table_05_counts(self):
@@ -186,7 +191,7 @@ class TestTables:
             fake.append({"query": q, "system": "tag", "mean_s": tag_t})
             fake.append({"query": q, "system": "duckdb", "mean_s": 2.0})
             fake.append({"query": q, "system": "spark_sql", "mean_s": 1.0})
-        text, data = T.table_05(fake)
+        data = T.table_05(fake)
         assert data["duckdb"] == {"outperforms": 2, "competitive": 0, "worse": 1}
         assert data["spark_sql"]["worse"] == 1
 
@@ -199,6 +204,82 @@ class TestTables:
                 ]
             }
         }
-        text, data = T.table_14(suite, suite)
+        data = T.table_14(suite, suite)
         assert data["tag"]["TPC-H@0.1"] == 1.0
         assert data["spark_sql"]["TPC-DS@0.1"] == 3.0
+
+
+def _md_block(md: str, marker: str) -> str:
+    """The fenced text under ``<!-- marker -->`` in EXPERIMENTS.md."""
+    return re.search(rf"<!-- {marker} -->\n```\n(.*?)\n```", md, re.DOTALL).group(1)
+
+
+class TestExperimentsMd:
+    """EXPERIMENTS.md's measured blocks and ``jobs/run.py``'s output both
+    come from one renderer per table (no Spark needed)."""
+
+    @pytest.fixture
+    def experiments(self, monkeypatch, tmp_path):
+        """``jobs/update_experiments.py`` writing to a copy of EXPERIMENTS.md."""
+        monkeypatch.syspath_prepend(os.path.join(REPO, "jobs"))
+        import update_experiments
+
+        md = tmp_path / "EXPERIMENTS.md"
+        shutil.copy(update_experiments.MD, md)
+        monkeypatch.setattr(update_experiments, "MD", str(md))
+        return update_experiments
+
+    def test_every_marker_has_one_renderer(self, experiments):
+        with open(experiments.MD) as f:
+            markers = re.findall(r"<!-- (TABLE\d+) -->", f.read())
+        assert sorted(markers) == sorted(T.RENDERERS)
+
+    def test_rerender_from_committed_results_is_noop(self, experiments, monkeypatch):
+        monkeypatch.setattr(T, "RESULTS_DIR", COMMITTED_RESULTS)
+        for name, _ in T.RENDERERS.values():
+            assert os.path.exists(os.path.join(COMMITTED_RESULTS, name)), name
+        with open(experiments.MD) as f:
+            before = f.read()
+        experiments.main()
+        with open(experiments.MD) as f:
+            assert f.read() == before
+
+    def test_run_prints_the_experiments_blocks(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.syspath_prepend(os.path.join(REPO, "jobs"))
+        import run
+
+        for name in ("suite_tpch.json", "suite_tpcds.json"):
+            shutil.copy(os.path.join(COMMITTED_RESULTS, name), tmp_path)
+        monkeypatch.setattr(T, "RESULTS_DIR", str(tmp_path))
+        numbers = (3, 4, 5, 6, 14)
+        run.main([str(n) for n in numbers])
+        printed = capsys.readouterr().out
+        with open(os.path.join(REPO, "EXPERIMENTS.md")) as f:
+            md = f.read()
+        assert printed == "".join(f"{_md_block(md, f'TABLE{n:02d}')}\n" for n in numbers)
+        for n in numbers:
+            name = T.RENDERERS[f"TABLE{n:02d}"][0]
+            with open(tmp_path / name) as new, open(os.path.join(COMMITTED_RESULTS, name)) as old:
+                assert new.read() == old.read(), name
+
+    @pytest.mark.parametrize("marker,name", [("TABLE16", "table16.json"), ("TABLE17", "table17.json")])
+    def test_distributed_table_shows_zero_messages(
+        self, experiments, monkeypatch, tmp_path, marker, name
+    ):
+        monkeypatch.setattr(T, "RESULTS_DIR", str(tmp_path))
+        T.save_json(
+            {
+                "results": [
+                    {"query": "q1", "system": "tag", "mean_s": 1.0, "messages": 0, "shuffle_bytes": 0},
+                    {"query": "q1", "system": "spark_sql", "mean_s": 2.0, "messages": None, "shuffle_bytes": 7},
+                ],
+                "totals": {"tag_s": 1.0, "spark_sql_s": 2.0,
+                           "tag_shuffle_bytes": 0, "spark_sql_shuffle_bytes": 7},
+            },
+            name,
+        )
+        experiments.main()
+        with open(experiments.MD) as f:
+            block = _md_block(f.read(), marker)
+        q1 = next(line for line in block.splitlines() if line.startswith("q1 "))
+        assert [c.strip() for c in q1.split("|")] == ["q1", "2.000", "1.000", "0"]

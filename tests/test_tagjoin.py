@@ -6,7 +6,7 @@ import pytest
 
 from repro import oracle
 from repro.core.spec import Node, QuerySpec
-from repro.core.tagjoin import run_spec, scalar_lookup
+from repro.core.tagjoin import run_spec
 from repro.core.tag import TAGGraph
 
 
@@ -91,7 +91,7 @@ class TestRunSpec:
             "SELECT sum(av) AS total FROM A, B, C WHERE ab = bk AND bc = ck",
             **rels,
         )
-        assert scalar_lookup(df, "total") == pytest.approx(1.0 + 2.0 + 3.0)
+        assert df.collect()[0]["total"] == pytest.approx(1.0 + 2.0 + 3.0)
 
     def test_post_filter_residual_predicate(self, abc_graph):
         graph, rels = abc_graph
