@@ -198,9 +198,6 @@ class BSPEngine:
 
             rows = grouped.mapInPandas(compute_partition, schema=_OUT_SCHEMA).collect()
 
-            active = {int(r["vid"]) for r in rows} | {
-                int(d) for d, _ in msgs
-            }
             traces.append(
                 SuperstepTrace(
                     superstep=superstep,

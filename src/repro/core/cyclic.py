@@ -20,7 +20,7 @@ communication is then ``|R₁|/θ·∏|Rᵢ|``-shaped for the heavy side and
 the AGM bound (equations 2–4).
 
 For cycles where every join is PK-FK, §6.1.1 shows the vanilla algorithm is
-already optimal; ``theta=None, split=False`` runs that variant.
+already optimal; ``split=False`` runs that variant.
 """
 from __future__ import annotations
 
@@ -43,8 +43,8 @@ CycleRel = tuple[str, str, str]
 class CyclePlan:
     n: int
     mid: int  # paths meet at attribute X_{mid+1}
-    theta: float
-    heavy_values: int
+    theta: float  # NaN for the vanilla variant (split=False)
+    heavy_values: int  # -1 for the vanilla variant, like light_values
     light_values: int
 
 
@@ -98,20 +98,21 @@ def cycle_join(
     assert n >= 3, "a cycle needs at least 3 relations"
     frames = _frames(graph, rels)
     mid = math.ceil(n / 2)
-    sizes = [f.count() for f in frames]
-    theta = float(theta if theta is not None else math.sqrt(max(sizes)))
-
     out_cols = [f"x{i}" for i in range(1, n + 1)]
     meet = [f"x{1}", f"x{mid + 1}"]
 
     if not split:
-        # Vanilla algorithm (§6.1.1): propagate all X₁ values both ways.
+        # Vanilla algorithm (§6.1.1): propagate all X₁ values both ways, so
+        # no threshold applies and nothing is counted.
         left = _chain(frames[:mid], stats, "vanilla-left")
         right = _chain(list(reversed(frames[mid:])), stats, "vanilla-right")
         result = left.join(right, on=meet).select(out_cols)
-        plan = CyclePlan(n, mid, theta, -1, -1)
+        plan = CyclePlan(n, mid, math.nan, -1, -1)
         return result, plan
 
+    if theta is None:
+        theta = math.sqrt(max(f.count() for f in frames))
+    theta = float(theta)
     r1 = frames[0]
     deg = r1.groupBy("x1").agg(F.count("*").alias("__deg"))
     heavy_vals = deg.where(F.col("__deg") > theta).select("x1")
@@ -134,13 +135,11 @@ def cycle_join(
         light = l_right
     result = heavy.select(out_cols).unionByName(light.select(out_cols))
 
-    plan = CyclePlan(
-        n=n,
-        mid=mid,
-        theta=theta,
-        heavy_values=heavy_vals.count(),
-        light_values=deg.where(F.col("__deg") <= theta).count(),
-    )
+    counts = deg.agg(
+        F.count(F.when(F.col("__deg") > theta, 1)).alias("heavy"),
+        F.count(F.when(F.col("__deg") <= theta, 1)).alias("light"),
+    ).first()
+    plan = CyclePlan(n, mid, theta, counts["heavy"], counts["light"])
     return result, plan
 
 

@@ -34,10 +34,6 @@ class PlanNode:
     in_label: Optional[EdgeLabel] = None  # label of edge from parent
     children: list["PlanNode"] = field(default_factory=list)
 
-    @property
-    def display(self) -> str:
-        return self.rel.name if self.kind == "rel" else f"<{self.attr}>"
-
 
 def build_plan(root: Node) -> PlanNode:
     """Join tree → TAG plan (§5.1)."""

@@ -13,10 +13,13 @@ Spark SQL. Offline substitutions (DESIGN.md):
   columnar RDBMS, closest in spirit to RDBMS-X IM).
 
 Methodology mirrors §8.1.5: one warm-up run, then ``reps`` timed runs,
-reporting the average. Results are materialised (``collect``) so both
-engines pay their full execution cost. Communication is metered as TAG
-message counts (RunStats) and, for *both* Spark-backed systems, the
-shuffle-write bytes of the timed runs (``shuffle_write_bytes``).
+reporting the average. The warm-up is the checked run: its rows must equal
+DuckDB's for the same SQL, and for TAG it is the metered run that gives the
+message count (RunStats). Each timed run must return as many rows as the
+checked run. Timed results are materialised (``collect``) so both engines
+pay their full execution cost. Communication is metered as TAG message
+counts and, for *both* Spark-backed systems, the shuffle-write bytes of the
+timed runs (``shuffle_write_bytes``).
 """
 from __future__ import annotations
 
@@ -24,9 +27,11 @@ import time
 from dataclasses import dataclass, field
 
 import duckdb
-from pyspark.sql import SparkSession
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
 from ..core.tag import TAGGraph
+from ..oracle import assert_same_rows
 from ..query import Query
 
 SYSTEMS = ("tag", "spark_sql", "duckdb")
@@ -41,7 +46,7 @@ class QueryResult:
     rows: int = 0
     agg_class: str = ""
     paper_class: str = ""
-    messages: int | None = None  # TAG communication (message count)
+    messages: int | None = None  # TAG communication (checked run's count)
     shuffle_bytes: int | None = None  # Spark shuffle write delta
 
 
@@ -71,82 +76,100 @@ class BenchRunner:
         tables: dict,  # name -> Spark DataFrame (cached)
         graph: TAGGraph,
         reps: int = 3,
-        warmup: int = 1,
     ):
         self.spark = spark
         self.tables = tables
         self.graph = graph
         self.reps = reps
-        self.warmup = warmup
         self._duck = duckdb.connect()
         for name, df in tables.items():
             self._duck.register(name, df.toPandas())
+        self._expected: dict[str, pd.DataFrame] = {}
 
     def close(self) -> None:
         self._duck.close()
 
+    def expected(self, q: Query) -> pd.DataFrame:
+        """DuckDB's rows for ``q.sql`` over this runner's tables, computed
+        once per query: what every system's checked run must return."""
+        if q.sql not in self._expected:
+            self._expected[q.sql] = self._duck.execute(q.sql).fetchdf()
+        return self._expected[q.sql]
+
     # -- per-system single executions ------------------------------------
 
-    def _run_tag(self, q: Query) -> int:
-        df, _ = q.run_tag(self.graph)
-        return len(df.collect())
-
-    def _run_spark_sql(self, q: Query) -> int:
+    def _spark_sql(self, q: Query) -> DataFrame:
         # Re-register this runner's views: TPC-H and TPC-DS share table
         # names (e.g. `customer`), and runners for both benchmarks can
         # coexist on one session. Registration is metadata-only (~ms).
         for t in q.tables:
             self.tables[t].createOrReplaceTempView(t)
-        return len(self.spark.sql(q.sql).collect())
+        return self.spark.sql(q.sql)
 
-    def _run_duckdb(self, q: Query) -> int:
+    def _checked_run(self, q: Query, system: str) -> tuple[pd.DataFrame, int | None]:
+        """``q``'s rows on ``system`` and, for TAG, the message count of
+        this (metered) run."""
+        if system == "tag":
+            df, stats = q.run_tag(self.graph, stats=True)
+            return df.toPandas(), stats.total_messages()
+        if system == "spark_sql":
+            return self._spark_sql(q).toPandas(), None
+        return self._duck.execute(q.sql).fetchdf(), None
+
+    def _timed_run(self, q: Query, system: str) -> int:
+        """One unmetered run of ``q`` on ``system``; returns its row count."""
+        if system == "tag":
+            df, _ = q.run_tag(self.graph)
+            return len(df.collect())
+        if system == "spark_sql":
+            return len(self._spark_sql(q).collect())
         return len(self._duck.execute(q.sql).fetchall())
 
-    def run_query(
-        self, q: Query, system: str, with_messages: bool = True
-    ) -> QueryResult:
-        """Warm up, then time ``reps`` runs of ``q`` on ``system``. For TAG,
-        ``with_messages`` adds one metered run for the message count."""
-        fn = {
-            "tag": self._run_tag,
-            "spark_sql": self._run_spark_sql,
-            "duckdb": self._run_duckdb,
-        }[system]
-        for _ in range(self.warmup):
-            rows = fn(q)
+    def run_query(self, q: Query, system: str) -> QueryResult:
+        """One checked run of ``q`` on ``system`` (the warm-up), then
+        ``reps`` timed runs, each returning as many rows as the checked one."""
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}")
+        got, messages = self._checked_run(q, system)
+        try:
+            assert_same_rows(got, self.expected(q))
+        except AssertionError as e:
+            raise AssertionError(
+                f"{q.name} on {system}: rows differ from DuckDB's"
+            ) from e
         shuffle_before = shuffle_write_bytes(self.spark)
         runs = []
         for _ in range(self.reps):
             t0 = time.perf_counter()
-            rows = fn(q)
+            rows = self._timed_run(q, system)
             runs.append(time.perf_counter() - t0)
-        result = QueryResult(
+            if rows != len(got):
+                raise AssertionError(
+                    f"{q.name} on {system}: {rows} rows, checked run had {len(got)}"
+                )
+        return QueryResult(
             query=q.name,
             system=system,
             mean_s=sum(runs) / len(runs),
             runs_s=runs,
-            rows=rows,
+            rows=len(got),
             agg_class=q.agg_class,
             paper_class=q.paper_class,
+            messages=messages,
             shuffle_bytes=(
                 shuffle_write_bytes(self.spark) - shuffle_before
                 if system != "duckdb"
                 else None
             ),
         )
-        if system == "tag" and with_messages:
-            _, stats = q.run_tag(self.graph, stats=True)
-            result.messages = stats.total_messages()
-        return result
 
     def run_workload(
         self,
         queries: dict[str, Query],
         systems: tuple[str, ...] = SYSTEMS,
-        with_messages: bool = False,
     ) -> list[QueryResult]:
         return [
-            self.run_query(queries[name], system, with_messages)
+            self.run_query(queries[name], system)
             for name in sorted(queries)
             for system in systems
         ]

@@ -334,6 +334,8 @@ def table_07(spark: SparkSession, sf: float = 0.1, reps: int = 1) -> dict:
     for benchmark in ("tpch", "tpcds"):
         _, queries, _, _ = _benchmark(benchmark)
         with bench(spark, benchmark, sf, reps=reps) as runner:
+            for q in queries.values():  # DuckDB's rows, outside the sampled windows
+                runner.expected(q)
             per_system = {}
             for system in ("tag", "spark_sql", "duckdb"):
                 with PeakRssSampler(interval=0.5) as sampler:
@@ -471,15 +473,14 @@ def table_distributed(
 
     The cluster becomes many shuffle partitions on one box; communication is
     metered as TAG message counts and shuffle-write bytes — the local
-    equivalent of Figure 9(b)'s network traffic."""
+    equivalent of Figure 9(b)'s network traffic. The run configuration
+    (``sf``, ``reps``, ``shuffle_partitions``) is returned with the results."""
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
         _, queries, _, _ = _benchmark(benchmark)
         with bench(spark, benchmark, sf, reps=reps) as runner:
-            results = runner.run_workload(
-                queries, systems=("tag", "spark_sql"), with_messages=True
-            )
+            results = runner.run_workload(queries, systems=("tag", "spark_sql"))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)
     res = [asdict(r) for r in results]
@@ -488,6 +489,7 @@ def table_distributed(
     tag_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "tag")
     sql_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "spark_sql")
     return {
+        "config": {"sf": sf, "reps": reps, "shuffle_partitions": shuffle_partitions},
         "results": res,
         "totals": {
             "tag_s": tag_total,
@@ -499,8 +501,14 @@ def table_distributed(
 
 
 def _render_distributed(data: dict, title: str) -> str:
-    """One row per query (TAG's message count last), then a TOTAL row with
-    both systems' summed runtimes and shuffle-write bytes."""
+    """A title naming the run configuration, one row per query (TAG's
+    message count last), then a TOTAL row with both systems' summed
+    runtimes and shuffle-write bytes."""
+    c = data["config"]
+    title += (
+        f" (SF {c['sf']}, {c['reps']} timed reps,"
+        f" {c['shuffle_partitions']} shuffle partitions)"
+    )
     res = data["results"]
     rows = [
         [q, _mean(res, q, "spark_sql"), _mean(res, q, "tag"),

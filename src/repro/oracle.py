@@ -2,8 +2,9 @@
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+Spark result) with ``assert_same_rows(got_pdf, expected_pdf)``, which
+compares two pandas results directly. This catches wrong results from a
+rewritten plan or a custom operator — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -37,6 +38,18 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
+def assert_same_rows(got: pd.DataFrame, expected: pd.DataFrame) -> None:
+    """``got`` and ``expected`` hold the same columns and the same bag of
+    rows, compared in a canonical column and row order."""
+    assert set(expected.columns) == set(got.columns), (
+        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+        "— alias every output column identically on both sides"
+    )
+    pd.testing.assert_frame_equal(
+        _canon(got), _canon(expected), check_dtype=False
+    )
+
+
 def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
@@ -45,11 +58,4 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
-        "— alias every output column identically on both sides"
-    )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )
+    assert_same_rows(spark_df.toPandas(), expected)

@@ -11,6 +11,8 @@ from repro.core.cyclic import cycle_join, triangle
 from repro.core.reduction import RunStats
 from repro.core.tag import TAGGraph
 
+from .sparkjobs import spark_jobs
+
 
 def _cycle_graph(spark, n: int, rows: int = 300, keys: int = 30, skew=None):
     rels = {}
@@ -145,3 +147,21 @@ class TestCycleCost:
         cycle_join(graph, cyc, stats=stats)
         phases = {t.phase for t in stats.traces}
         assert {"heavy-left", "heavy-right", "light-left", "light-right"} <= phases
+
+
+class TestCycleJobs:
+    """``cycle_join`` builds its result lazily and runs only what its plan
+    needs: one aggregate over R₁'s value degrees for both heavy/light
+    counts, plus one ``count()`` per relation when θ defaults to √IN.
+    Measured on a materialised graph under AQE: the degree aggregate is 3
+    Spark jobs and each relation's count 2."""
+
+    @pytest.mark.parametrize(
+        "kw,jobs",
+        [({"split": False}, 0), ({"theta": 5.0}, 3), ({}, 3 + 3 * 2)],
+        ids=["vanilla", "theta-given", "theta-default"],
+    )
+    def test_spark_jobs(self, spark, kw, jobs):
+        graph, _, cyc = _cycle_graph(spark, 3)
+        graph.materialize()
+        assert spark_jobs(spark, lambda: cycle_join(graph, cyc, **kw)) == jobs

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import re
 import shutil
@@ -35,7 +36,7 @@ COMMITTED_RESULTS = os.path.join(REPO, "results")
 
 @pytest.fixture(scope="module")
 def runner(spark, tpch_data, tpch_graph):
-    r = BenchRunner(spark, tpch_data, tpch_graph, reps=1, warmup=0)
+    r = BenchRunner(spark, tpch_data, tpch_graph, reps=1)
     yield r
     r.close()
 
@@ -57,6 +58,45 @@ class TestRunner:
             s: runner.run_query(q, s).rows for s in ("tag", "spark_sql", "duckdb")
         }
         assert len(set(counts.values())) == 1, counts
+
+    def test_wrong_tag_rows_raise(self, runner):
+        """The checked run compares values, not only row counts: q6's one
+        row with its revenue doubled fails against DuckDB."""
+        q6 = TPCH_QUERIES["q6"]
+
+        def wrong(graph, stats=False):
+            df, rs = q6.tag(graph, stats)
+            return df.select((F.col("revenue") * 2).alias("revenue")), rs
+
+        with pytest.raises(AssertionError, match="q6 on tag"):
+            runner.run_query(dataclasses.replace(q6, tag=wrong), "tag")
+
+    def test_timed_run_row_count_checked(self, runner):
+        """A timed run returning a different row count than the checked run
+        fails the measurement."""
+        q6 = TPCH_QUERIES["q6"]
+
+        def unstable(graph, stats=False):
+            df, rs = q6.tag(graph, stats)
+            return (df if stats else df.union(df)), rs
+
+        with pytest.raises(AssertionError, match="2 rows, checked run had 1"):
+            runner.run_query(dataclasses.replace(q6, tag=unstable), "tag")
+
+    def test_tag_runs_once_metered_then_reps_timed(self, runner):
+        """TAG's first run is the checked, metered run (the warm-up); the
+        ``reps`` timed runs follow, unmetered, and no run is added."""
+        q6 = TPCH_QUERIES["q6"]
+        calls = []
+
+        def counted(graph, stats=False):
+            calls.append(stats)
+            return q6.tag(graph, stats)
+
+        res = runner.run_query(dataclasses.replace(q6, tag=counted), "tag")
+        assert calls == [True] + [False] * runner.reps
+        _, stats = q6.run_tag(runner.graph, stats=True)
+        assert res.messages == stats.total_messages()
 
     def test_run_workload_subset(self, runner):
         res = runner.run_workload(
@@ -269,6 +309,7 @@ class TestExperimentsMd:
         monkeypatch.setattr(T, "RESULTS_DIR", str(tmp_path))
         T.save_json(
             {
+                "config": {"sf": 0.1, "reps": 2, "shuffle_partitions": 192},
                 "results": [
                     {"query": "q1", "system": "tag", "mean_s": 1.0, "messages": 0, "shuffle_bytes": 0},
                     {"query": "q1", "system": "spark_sql", "mean_s": 2.0, "messages": None, "shuffle_bytes": 7},
