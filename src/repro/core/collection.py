@@ -17,21 +17,12 @@ original column names.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .reduction import RunStats, StepTrace
-from .spec import Node, qualify
+from .spec import Node, _needed_columns, qualify
 from .tag import TID, TAGGraph
-
-
-def _needed_columns(node: Node) -> list[str]:
-    cols = set(node.need)
-    for c in node.children:
-        cols.add(c.parent_join[0])
-    if node.parent_join is not None:
-        cols.add(node.parent_join[1])
-    return sorted(cols)
 
 
 def node_frame(
@@ -46,14 +37,11 @@ def node_frame(
     would accumulate at them by the superstep where the subtree's root sends
     to its parent.
     """
-    # The reduced tid set is a message set (reduction.py, "Exchanges").
-    base = graph.tuples[node.relation].join(
-        F.broadcast(reduced[node.name]), on=TID
+    # The reduced relation already holds the surviving tuples' needed
+    # columns (reduction.py, ``carried_columns``): no join reads them back.
+    df = reduced[node.name].select(
+        [F.col(c).alias(qualify(node, c)) for c in _needed_columns(node)]
     )
-    cols = _needed_columns(node)
-    base = base.select([F.col(c).alias(qualify(node, c)) for c in cols])
-
-    df = base
     for child in node.children:
         cdf = node_frame(graph, child, reduced, stats)
         pcol = qualify(node, child.parent_join[0])

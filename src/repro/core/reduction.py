@@ -7,28 +7,39 @@ projected column) and a semijoin (attribute→tuple step: the activated tuple
 vertices are exactly ``T ⋉ active``). GenSteps lists therefore have even
 length, and each (projection, semijoin) pair of labels ``(R.A, T.B)``
 computes one semijoin ``T ⋉_{B=A} π_A(R)``. This module runs each pair as
-one Catalyst plan over the TAG edge tables, ending in one eager
+one Catalyst plan over the cached tuple tables, ending in one eager
 ``localCheckpoint`` barrier, for the bottom-up (UP) pass over the label list
 and the top-down (DOWN) pass over its reverse.
 
-Reduction is *eager* (as the paper notes its vertex program is, vs classical
-Yannakakis): every semijoin intersects into a per-relation reduced tid set,
-so later supersteps never resurrect tuples a previous superstep eliminated
-(the vertex program achieves the same through edge markings).
+State: a tuple vertex's state is its tuple (§3), so the state of each alias
+is a *reduced relation*: ``__tid`` and the columns the query still reads of
+the surviving tuples (``carried_columns``: the alias's labels, collection's
+columns and, for a reduction-only root, its output). A pair projects the
+values it sends from the active barrier's own rows, and collection reads
+the reduced relations as they are; no step joins a tid set back to its
+tuple table.
 
-Pushed-down selections (§7) seed the reduced tid sets: attribute vertices
+Reduction is *eager* (as the paper notes its vertex program is, vs classical
+Yannakakis): every semijoin intersects into the alias's reduced relation,
+so later supersteps never resurrect tuples a previous superstep eliminated
+(the vertex program achieves the same through edge markings). An UP
+semijoin reaches every edge of its label, so it scans the tuple table and
+then intersects: with the pushed filter while that is all the alias's
+state, or with the prior barrier's tids on an UP revisit. A DOWN semijoin
+travels only over edges the UP pass marked, which is the prior reduced
+relation itself, so it runs over it.
+
+Pushed-down selections (§7) seed the reduced relations: attribute vertices
 failing a single-attribute predicate "deactivate themselves" before the
 traversal begins.
 
 When ``stats`` is on, the ledger still records two supersteps per pair,
 with Algorithm 2's message counts. The projection sends one message per
-label-edge of an active tuple vertex, ``|edges(R.A) ⋈ active_tuples|``; the
-semijoin sends one message per label-edge of an active attribute vertex,
-``|edges(T.B) ⋈ active_values|``. Both are counted on the left-semi frames
-of the plan: an edge table has at most one row per tuple (NULLs get no
-edge) and the active tid sets are duplicate-free, so ``e ⋉ active`` has
-exactly as many rows as ``e ⋈ active``; on the value side ``⋉`` ignores
-duplicate values, as distinct active attribute vertices would.
+label-edge of an active tuple vertex: the active rows whose ``R.A`` is not
+NULL (NULLs get no edge). The semijoin sends one message per label-edge of
+an active attribute vertex, ``|T ⋉_{B=A} active_values|``: a tuple has at
+most one ``T.B`` edge, a NULL matches no value, and ``⋉`` ignores duplicate
+values, as distinct active attribute vertices would.
 
 As in Algorithm 2, where the engine counts messages while sending them, the
 counts come from the superstep itself: each counted frame carries a
@@ -43,17 +54,18 @@ counted again, exactly: a pruned frame's count is not necessarily 0.
 
 Exchanges: in Algorithm 2 an attribute vertex's message goes straight to
 the tuple vertices on its edges; nothing repartitions the edge index to
-deliver it. The dataflow form of that is a broadcast message set: the
-message side of each left-semi join (the active tid set, the projected
-values, the prior reduced set) is hinted ``F.broadcast`` and shipped whole
-to every partition of the edge table it probes, which stays where it is
-cached. Each such side holds at most one row per tuple vertex of one
-relation. The hint applies whatever the session's
-``spark.sql.autoBroadcastJoinThreshold`` (the Spark SQL comparator keeps
-broadcast off). The broadcast is unconditional: the size at which a shuffled
-join would pay off again has not been measured, and no workload here comes
-near one (ROADMAP item 3). Only the physical join strategy differs from a
-shuffled plan; the plan, its observations and its barriers are the same.
+deliver it. The dataflow form of that is a broadcast message set: a pair's
+projected values are hinted ``F.broadcast`` and shipped whole to every
+partition of the relation they probe, which stays where it is cached. An UP
+revisit broadcasts the prior barrier's tids as well. Each such set holds at
+most one row per tuple vertex of one relation, so a pair runs two Spark
+jobs, the broadcast and the barrier (three on an UP revisit). The hint
+applies whatever the session's ``spark.sql.autoBroadcastJoinThreshold``
+(the Spark SQL comparator keeps broadcast off). The broadcast is
+unconditional: the size at which a shuffled join would pay off again has
+not been measured, and no workload here comes near one (ROADMAP item 3).
+Only the physical join strategy differs from a shuffled plan; the plan, its
+observations and its barriers are the same.
 """
 from __future__ import annotations
 
@@ -63,7 +75,7 @@ from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from .plan import EdgeLabel, start_alias
-from .spec import Node
+from .spec import Node, _needed_columns
 from .tag import TID, VAL, TAGGraph
 
 
@@ -106,14 +118,6 @@ class RunStats:
         )
 
 
-def filtered_tids(graph: TAGGraph, node: Node) -> DataFrame | None:
-    """Tid set surviving the node's pushed-down predicate, or None if the
-    node has no predicate (meaning: all tuple vertices stay active)."""
-    if node.filter is None:
-        return None
-    return graph.tuples[node.relation].where(node.filter).select(TID)
-
-
 def _counted(
     df: DataFrame, counts: list[tuple[Observation, DataFrame]] | None
 ) -> DataFrame:
@@ -138,76 +142,96 @@ def _observed_count(obs: Observation, df: DataFrame) -> int:
     return row.getLong(0) if row.length() else df.count()
 
 
+def carried_columns(graph: TAGGraph, node: Node,
+                    steps: list[EdgeLabel]) -> list[str]:
+    """The attribute columns ``node``'s reduced relation keeps next to
+    ``__tid``: its labels in ``steps`` (the values its pairs project and
+    match), the columns collection reads (``_needed_columns``) and, for a
+    root with no ``need``, every column, which a reduction-only root
+    outputs."""
+    cols = {c for a, c in steps if a == node.name}
+    cols.update(_needed_columns(node))
+    if node.parent_join is None and not node.need:
+        cols.update(c for c in graph.tuples[node.relation].columns
+                    if not c.startswith("__"))
+    return sorted(cols)
+
+
 def reduce_phase(
     graph: TAGGraph,
     nodes: list[Node],
     steps: list[EdgeLabel],
     stats: RunStats | None = None,
 ) -> dict[str, DataFrame]:
-    """Run the UP+DOWN reduction passes; returns per-alias reduced tid sets.
+    """Run the UP+DOWN reduction passes; returns per-alias reduced relations.
 
-    A ``None`` value means the relation was never touched by a semijoin and
-    carries no filter (only possible for the start relation of a
-    single-relation plan).
+    An alias's reduced relation holds ``__tid`` and its
+    :func:`carried_columns`, one row per surviving tuple. An alias no pair
+    reached (the one relation of a single-relation plan) is returned as its
+    tuple table, under its pushed filter if it has one.
     """
     by_alias = {n.name: n for n in nodes}
-    reduced: dict[str, DataFrame | None] = {
-        n.name: filtered_tids(graph, n) for n in nodes
+    cols = {n.name: carried_columns(graph, n, steps) for n in nodes}
+
+    def scan(alias: str) -> DataFrame:
+        return graph.tuples[by_alias[alias].relation]
+
+    reduced: dict[str, DataFrame] = {
+        a: scan(a).where(n.filter) if n.filter else scan(a)
+        for a, n in by_alias.items()
     }
-
-    def tids(alias: str) -> DataFrame:
-        r = reduced[alias]
-        if r is None:
-            r = graph.tuples[by_alias[alias].relation].select(TID)
-            reduced[alias] = r
-        return r
-
-    def edge(alias: str, col: str) -> DataFrame:
-        return graph.edge(by_alias[alias].relation, col)
-
     if not steps:  # single-relation query: no traversal needed
-        return {a: tids(a) for a in reduced}
+        return reduced
 
-    active = tids(start_alias(steps))
+    barriers: set[str] = set()  # aliases with a pair barrier
+    active = reduced[start_alias(steps)]
     superstep = 0
     sizes: dict[str, int] = {}  # alias -> rows of its last barrier
     for phase, labels in (("up", steps), ("down", steps[::-1])):
         for (p_alias, p_col), (alias, col) in zip(labels[::2], labels[1::2]):
             counts = [] if stats is not None else None  # observed frames
             # Projection: the active `p_alias` tuple vertices message their
-            # `p_col` attribute vertices (VAL carries π_{p_col}).
+            # `p_col` attribute vertices from their own state (VAL carries
+            # π_{p_col}; a NULL is no edge, so no message).
             vals = _counted(
-                edge(p_alias, p_col).join(F.broadcast(active), TID,
-                                          "left_semi"),
+                active.where(F.col(p_col).isNotNull())
+                .select(F.col(p_col).alias(VAL)),
                 counts,
             )
             # Semijoin: those attribute vertices message `alias`-tuples via
             # `alias.col` edges → alias ⋉ vals, intersected with the
-            # accumulated reduction. In the DOWN pass messages only travel
-            # via edges marked by the UP pass (Alg. 2 line 17), which is
-            # exactly the restriction to the prior reduced set.
+            # accumulated reduction. UP messages reach every edge, so UP
+            # scans the tuple table and then intersects. In the DOWN pass
+            # messages only travel via edges marked by the UP pass (Alg. 2
+            # line 17), which is exactly the restriction to the prior
+            # reduced relation, so DOWN runs over it directly.
             # (VAL holds at most one value per `p_alias` tuple.)
-            msgs = edge(alias, col).join(
-                F.broadcast(vals.select(VAL)), VAL, "left_semi"
-            )
             prior = reduced[alias]
-            if prior is not None:
-                prior = F.broadcast(prior)
-            if phase == "down" and prior is not None:
-                msgs = msgs.join(prior, TID, "left_semi")
-            msgs = _counted(msgs.select(TID), counts)
-            if phase == "up" and prior is not None:
-                t = _counted(msgs.join(prior, TID, "left_semi"), counts)
+            base = scan(alias) if phase == "up" else prior
+            msgs = _counted(
+                base.join(F.broadcast(vals),
+                          F.col(col) == F.col(VAL), "left_semi"),
+                counts,
+            )
+            pushed = by_alias[alias].filter
+            if phase == "up" and alias in barriers:  # an UP revisit
+                t = _counted(msgs.join(F.broadcast(prior.select(TID)), TID,
+                                       "left_semi"), counts)
+            elif phase == "up" and pushed:
+                t = _counted(msgs.where(pushed), counts)
             else:
                 t = msgs
             # Pair barrier: one eager localCheckpoint materialises the new
-            # reduced set and truncates lineage, so each pair is one plan
-            # over the cached tuple tables rather than a re-execution of the
-            # whole history. The projection needs no barrier of its own:
-            # with the semijoin it forms one Lemma 5.1 semijoin. (A lazy
-            # checkpoint still runs jobs under AQE, and costs more.) The
-            # same action fills the pair's observed counts.
-            active = reduced[alias] = t.localCheckpoint(eager=True)
+            # reduced relation and truncates lineage, so each pair is one
+            # plan over the cached tuple tables rather than a re-execution
+            # of the whole history. The projection needs no barrier of its
+            # own: with the semijoin it forms one Lemma 5.1 semijoin. (A
+            # lazy checkpoint still runs jobs under AQE, and costs more.)
+            # The same action fills the pair's observed counts.
+            active = reduced[alias] = (
+                t.select(TID, *cols[alias]).localCheckpoint(eager=True)
+            )
+            barriers.add(alias)
             if stats is not None:
                 n_vals, n_msgs, *n_t = (
                     _observed_count(obs, df) for obs, df in counts
@@ -221,9 +245,9 @@ def reduce_phase(
                 ]
             superstep += 2
 
-    out = {a: tids(a) for a in reduced}
     if stats is not None:
         stats.reduced_sizes = {
-            a: sizes[a] if a in sizes else df.count() for a, df in out.items()
+            a: sizes[a] if a in sizes else df.count()
+            for a, df in reduced.items()
         }
-    return out
+    return reduced

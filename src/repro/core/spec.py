@@ -68,6 +68,17 @@ def qualify(node: Node, col: str) -> str:
     return col
 
 
+def _needed_columns(node: Node) -> list[str]:
+    """Columns of ``node``'s relation that collection reads: its ``need``
+    and its join columns with its parent and children."""
+    cols = set(node.need)
+    for c in node.children:
+        cols.add(c.parent_join[0])
+    if node.parent_join is not None:
+        cols.add(node.parent_join[1])
+    return sorted(cols)
+
+
 @dataclass
 class QuerySpec:
     """A full query: join tree + residual predicate + aggregation."""

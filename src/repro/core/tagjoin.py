@@ -23,7 +23,7 @@ from .collection import node_frame
 from .plan import build_plan, gensteps
 from .reduction import RunStats, reduce_phase
 from .spec import Node, QuerySpec, qualify
-from .tag import TID, TAGGraph
+from .tag import TAGGraph
 
 
 def finalize(df: DataFrame, spec: QuerySpec) -> DataFrame:
@@ -82,9 +82,7 @@ def run_spec(
         steps = gensteps(plan)
         reduced = reduce_phase(graph, nodes, steps, rs)
         if spec.reduction_only:
-            tuples = graph.tuples[root.relation]
-            ids = F.broadcast(reduced[root.name])
-            df = _root_frame(tuples.join(ids, on=TID), root)
+            df = _root_frame(reduced[root.name], root)
         else:
             df = node_frame(graph, root, reduced, rs)
 

@@ -18,11 +18,13 @@ DuckDB's for the same SQL, and for TAG it is the metered run that gives the
 message count (RunStats). Each timed run must return as many rows as the
 checked run. Timed results are materialised (``collect``) so both engines
 pay their full execution cost. Communication is metered as TAG message
-counts and, for *both* Spark-backed systems, the shuffle-write bytes of the
-timed runs (``shuffle_write_bytes``).
+counts and, for *both* Spark-backed systems, the shuffle-write bytes
+(``shuffle_write_bytes``) and the broadcast bytes (``broadcast_bytes``) of
+the timed runs.
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +50,7 @@ class QueryResult:
     paper_class: str = ""
     messages: int | None = None  # TAG communication (checked run's count)
     shuffle_bytes: int | None = None  # Spark shuffle write delta
+    broadcast_bytes: int | None = None  # BroadcastExchange data size
 
 
 def shuffle_write_bytes(spark: SparkSession) -> int:
@@ -65,6 +68,63 @@ def shuffle_write_bytes(spark: SparkSession) -> int:
     return sum(
         executors.apply(i).totalShuffleWrite() for i in range(executors.size())
     )
+
+
+#: Units of Spark's formatted size metrics (``Utils.bytesToString``).
+_SIZE_UNITS = {"B": 1, "KiB": 1 << 10, "MiB": 1 << 20, "GiB": 1 << 30,
+               "TiB": 1 << 40}
+_SIZE = re.compile(r"([0-9][0-9,]*(?:\.[0-9]+)?) (B|KiB|MiB|GiB|TiB)\b")
+
+
+def last_sql_execution(spark: SparkSession) -> int:
+    """Id of the session's latest SQL execution (-1 if none yet), the
+    starting point of a :func:`broadcast_bytes` window."""
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    runs = spark._jsparkSession.sharedState().statusStore().executionsList()
+    return max((runs.apply(i).executionId() for i in range(runs.size())),
+               default=-1)
+
+
+def broadcast_bytes(spark: SparkSession, since: int) -> int:
+    """Bytes broadcast by the SQL executions after execution ``since``.
+
+    A broadcast join ships its build side whole to every executor, and a
+    broadcast is not a shuffle write, so :func:`shuffle_write_bytes` does
+    not see it. This sums the "data size" metric of every
+    ``BroadcastExchange`` in those executions' plans, from the driver's SQL
+    status store, which keeps it with the Spark UI off. The metric is the
+    in-memory size of the broadcast hash relation, not a wire size: a hash
+    relation on a long key reserves about 1 MiB however few rows it holds.
+    Spark formats the metric (``1031.8 KiB``), so the sum is exact to the
+    printed precision. Only the last ``spark.sql.ui.retainedExecutions``
+    executions are kept."""
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    store = spark._jsparkSession.sharedState().statusStore()
+    runs = store.executionsList()
+    total = 0.0
+    for i in range(runs.size()):
+        run = runs.apply(i).executionId()
+        if run <= since:
+            continue
+        values = store.executionMetrics(run)
+        nodes = store.planGraph(run).allNodes()
+        for j in range(nodes.size()):
+            node = nodes.apply(j)
+            if node.name() != "BroadcastExchange":
+                continue
+            metrics = node.metrics()
+            for k in range(metrics.size()):
+                m = metrics.apply(k)
+                value = values.get(m.accumulatorId())
+                if m.name() == "data size" and value.isDefined():
+                    total += _size_bytes(value.get())
+    return round(total)
+
+
+def _size_bytes(text: str) -> float:
+    """The bytes of a formatted size metric; its first size is the total."""
+    number, unit = _SIZE.search(text).groups()
+    return float(number.replace(",", "")) * _SIZE_UNITS[unit]
 
 
 class BenchRunner:
@@ -138,6 +198,7 @@ class BenchRunner:
                 f"{q.name} on {system}: rows differ from DuckDB's"
             ) from e
         shuffle_before = shuffle_write_bytes(self.spark)
+        executions_before = last_sql_execution(self.spark)
         runs = []
         for _ in range(self.reps):
             t0 = time.perf_counter()
@@ -147,7 +208,7 @@ class BenchRunner:
                 raise AssertionError(
                     f"{q.name} on {system}: {rows} rows, checked run had {len(got)}"
                 )
-        return QueryResult(
+        result = QueryResult(
             query=q.name,
             system=system,
             mean_s=sum(runs) / len(runs),
@@ -156,12 +217,11 @@ class BenchRunner:
             agg_class=q.agg_class,
             paper_class=q.paper_class,
             messages=messages,
-            shuffle_bytes=(
-                shuffle_write_bytes(self.spark) - shuffle_before
-                if system != "duckdb"
-                else None
-            ),
         )
+        if system != "duckdb":
+            result.shuffle_bytes = shuffle_write_bytes(self.spark) - shuffle_before
+            result.broadcast_bytes = broadcast_bytes(self.spark, executions_before)
+        return result
 
     def run_workload(
         self,

@@ -472,8 +472,8 @@ def table_distributed(
     """Tables 16/17: TAG-join vs Spark SQL under a shuffle-heavy config.
 
     The cluster becomes many shuffle partitions on one box; communication is
-    metered as TAG message counts and shuffle-write bytes — the local
-    equivalent of Figure 9(b)'s network traffic. The run configuration
+    metered as TAG message counts, shuffle-write bytes and broadcast bytes —
+    the local equivalent of Figure 9(b)'s network traffic. The run configuration
     (``sf``, ``reps``, ``shuffle_partitions``) is returned with the results."""
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
@@ -486,24 +486,24 @@ def table_distributed(
     res = [asdict(r) for r in results]
     tag_total = sum(r["mean_s"] for r in res if r["system"] == "tag")
     sql_total = sum(r["mean_s"] for r in res if r["system"] == "spark_sql")
-    tag_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "tag")
-    sql_sb = sum(r["shuffle_bytes"] or 0 for r in res if r["system"] == "spark_sql")
+    totals = {"tag_s": tag_total, "spark_sql_s": sql_total}
+    for system in ("tag", "spark_sql"):
+        for key in ("shuffle_bytes", "broadcast_bytes"):
+            totals[f"{system}_{key}"] = sum(
+                r[key] or 0 for r in res if r["system"] == system
+            )
     return {
         "config": {"sf": sf, "reps": reps, "shuffle_partitions": shuffle_partitions},
         "results": res,
-        "totals": {
-            "tag_s": tag_total,
-            "spark_sql_s": sql_total,
-            "tag_shuffle_bytes": tag_sb,
-            "spark_sql_shuffle_bytes": sql_sb,
-        },
+        "totals": totals,
     }
 
 
 def _render_distributed(data: dict, title: str) -> str:
     """A title naming the run configuration, one row per query (TAG's
     message count last), then a TOTAL row with both systems' summed
-    runtimes and shuffle-write bytes."""
+    runtimes, shuffle-write bytes and broadcast bytes (``-`` where the
+    saved run did not meter them)."""
     c = data["config"]
     title += (
         f" (SF {c['sf']}, {c['reps']} timed reps,"
@@ -518,7 +518,9 @@ def _render_distributed(data: dict, title: str) -> str:
     t = data["totals"]
     rows.append(
         ["TOTAL", t["spark_sql_s"], t["tag_s"],
-         f"shuffleB sql={t['spark_sql_shuffle_bytes']} tag={t['tag_shuffle_bytes']}"]
+         f"shuffleB sql={t['spark_sql_shuffle_bytes']} tag={t['tag_shuffle_bytes']}"
+         f" broadcastB sql={t.get('spark_sql_broadcast_bytes', '-')}"
+         f" tag={t.get('tag_broadcast_bytes', '-')}"]
     )
     return render_table(["query", "spark_sql_s", "TAG_s", "TAG msgs"], rows, title)
 

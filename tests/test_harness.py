@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import os
 import re
 import shutil
@@ -26,7 +27,13 @@ from repro.harness.memory import (
     process_tree_rss_bytes,
     total_system_memory_bytes,
 )
-from repro.harness.runner import BenchRunner, shuffle_write_bytes, speedup_class
+from repro.harness.runner import (
+    BenchRunner,
+    broadcast_bytes,
+    last_sql_execution,
+    shuffle_write_bytes,
+    speedup_class,
+)
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
 
 BENCH_SF = 0.002
@@ -118,6 +125,33 @@ class TestRunner:
         first = delta()
         assert first > 0
         assert delta() == first
+
+    @pytest.mark.parametrize("hint", [True, False])
+    def test_broadcast_bytes_meters_a_broadcast_join(self, spark, tpch_data,
+                                                     hint):
+        """A broadcast left-semi join broadcasts bytes, a rebuilt identical
+        frame as many; the conftest session shuffles an unhinted join,
+        which broadcasts none."""
+        orders, customer = tpch_data["orders"], tpch_data["customer"]
+
+        def delta() -> int:
+            side = F.broadcast(customer) if hint else customer
+            since = last_sql_execution(spark)
+            orders.join(side, F.col("o_custkey") == F.col("c_custkey"),
+                        "left_semi").collect()
+            return broadcast_bytes(spark, since)
+
+        first = delta()
+        assert (first > 0) is hint
+        assert delta() == first
+
+    def test_runner_meters_tag_broadcasts(self, runner):
+        """TAG's semijoins broadcast their message sets; Spark SQL, with
+        broadcast joins off, broadcasts nothing."""
+        q3 = TPCH_QUERIES["q3"]
+        assert runner.run_query(q3, "tag").broadcast_bytes > 0
+        assert runner.run_query(q3, "spark_sql").broadcast_bytes == 0
+        assert runner.run_query(q3, "duckdb").broadcast_bytes is None
 
     @pytest.mark.parametrize(
         "tag_s,other_s,expected",
@@ -324,3 +358,25 @@ class TestExperimentsMd:
             block = _md_block(f.read(), marker)
         q1 = next(line for line in block.splitlines() if line.startswith("q1 "))
         assert [c.strip() for c in q1.split("|")] == ["q1", "2.000", "1.000", "0"]
+
+
+class TestLedgers:
+    """``jobs/ledgers.py --diff`` fails on any change in what a query
+    returns or sends, and not on its Spark job count (no Spark needed)."""
+
+    ENTRY = {"rows": "ab12", "rows_unmetered": "ab12", "jobs": 6,
+             "ledger": [["up", "R.a", "project", 3]], "reduced_sizes": {"R": 3}}
+
+    @pytest.mark.parametrize("key", [
+        "jobs", "rows", "rows_unmetered", "ledger", "reduced_sizes",
+    ])
+    def test_diff_exit_status(self, monkeypatch, tmp_path, capsys, key):
+        monkeypatch.syspath_prepend(os.path.join(REPO, "jobs"))
+        import ledgers
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"q3": self.ENTRY}))
+        b.write_text(json.dumps({"q3": {**self.ENTRY, key: 7}}))
+        assert ledgers.main(["--diff", str(a), str(b)]) == (key != "jobs")
+        assert ledgers.main(["--diff", str(a), str(a)]) == 0
+        assert "0 of 1 queries differ" in capsys.readouterr().out

@@ -15,10 +15,11 @@ from repro.tpch.queries import QUERIES as TPCH_QUERIES
 from .sparkjobs import spark_jobs as _spark_jobs
 
 #: Bound on the Spark jobs of one unmetered q3 TAG pass on ``tpch_graph``.
-#: Measured: 32 in each of 10 runs with broadcast message sets, 53 with every
+#: Measured: 18 in each of 10 runs with reduced relations as the pair state,
+#: 32 with reduced tid sets re-joined to the tuple tables, 53 with every
 #: semijoin shuffled. The margin leaves room for AQE's run-time stage
 #: decisions in the joins that still shuffle (collection's child joins).
-Q3_TAG_PASS_JOBS = 42
+Q3_TAG_PASS_JOBS = 24
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def _reduced_rows(graph: TAGGraph, reduced, alias, relation=None):
     rel = relation or alias
     return (
         graph.tuples[rel]
-        .join(reduced[alias], on=TID)
+        .join(reduced[alias].select(TID), on=TID)
         .drop(TID)
         .toPandas()
         .sort_values(by=list(graph.tuples[rel].drop(TID).columns))
@@ -304,6 +305,16 @@ class TestBarriers:
         reduce_phase(graph, list(spec.walk()), steps, stats)
         assert [eager for eager, _ in calls] == [True] * len(steps)
 
+    def test_two_spark_jobs_per_pair(self, spark, chain_instance):
+        """A pair runs its projected values' broadcast and its barrier:
+        two Spark jobs, with no job reading a reduced set back."""
+        graph, spec, _ = chain_instance
+        steps = gensteps(build_plan(spec))
+        jobs = _spark_jobs(
+            spark, lambda: reduce_phase(graph, list(spec.walk()), steps)
+        )
+        assert jobs == 2 * len(steps)  # len(steps) pairs over UP+DOWN
+
 
 # Adversarial instance: NULL join keys, heavily duplicated values and an
 # aliased self-join of E (E1.dst = E2.src). E.dst is not encoded, so its
@@ -474,6 +485,27 @@ def _executed_joins(frames) -> set[str]:
     return {j for j in _JOINS for plan in plans if j in plan}
 
 
+def _broadcast_joins(df) -> tuple[int, int]:
+    """``BroadcastHashJoin``s in ``df``'s executed plan: (planned, run),
+    where run leaves out the joins AQE pruned at run time (an empty
+    broadcast side turns its join into an empty relation)."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    final, _, initial = plan.partition("== Initial Plan ==")
+    join = "BroadcastHashJoin"
+    return (initial or final).count(join), final.count(join)
+
+
+def _broadcasts_per_pair(steps) -> list[int]:
+    """Per pair of UP then DOWN: 2 on an UP revisit of an alias that already
+    has a barrier, else 1."""
+    seen, out = set(), []
+    for phase, labels in (("up", steps), ("down", steps[::-1])):
+        for alias, _ in labels[1::2]:
+            out.append(2 if phase == "up" and alias in seen else 1)
+            seen.add(alias)
+    return out
+
+
 class TestExchanges:
     """Every left-semi join of a pair broadcasts its message set."""
 
@@ -500,6 +532,31 @@ class TestExchanges:
         # AQE still prunes an observed frame over a broadcast side, and the
         # frame is recounted (exactly: TestAdversarialReduction).
         assert bool(recounts) is case.startswith("empty")
+
+    @pytest.mark.parametrize("case", [
+        "chain", "branching", "empty_edge_table", "empty_up_prior",
+    ])
+    def test_one_broadcast_per_pair(self, request, monkeypatch, case):
+        """A pair's barrier frame executes one broadcast join, of the
+        projected values, and a second on an UP revisit, of the prior's
+        tids: no join reads an active or reduced set back."""
+        if case == "chain":
+            graph, spec, _ = request.getfixturevalue("chain_instance")
+        else:
+            graph, _ = request.getfixturevalue("adversarial_graph")
+            spec = _adversarial_case(case)
+        steps = gensteps(build_plan(spec))
+        calls = _checkpoint_spy(monkeypatch, type(graph.tuples["R"]))
+        reduce_phase(graph, list(spec.walk()), steps, RunStats())
+        planned, run = zip(*(_broadcast_joins(df) for _, df in calls))
+        assert list(planned) == _broadcasts_per_pair(steps)
+        if case.startswith("empty"):
+            assert all(r <= p for r, p in zip(run, planned)) and run != planned
+        else:
+            assert run == planned
+        assert _executed_joins([df for _, df in calls]) == {
+            "BroadcastHashJoin"
+        }
 
     def test_q3_tag_pass_jobs(self, spark, tpch_graph):
         """Broadcast semijoins keep an unmetered q3 TAG pass well under the
