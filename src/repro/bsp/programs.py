@@ -118,6 +118,8 @@ class TwoWayJoinProgram(VertexProgram):
     r_edge: str  # e.g. "R.b"
     s_edge: str
 
+    phases = ("check", "reply", "combine")
+
     def initial_messages(self, graph: BSPGraph):
         out = []
         for vid, (label, _) in graph.vmeta.items():
@@ -128,7 +130,9 @@ class TwoWayJoinProgram(VertexProgram):
         return out
 
     def before_superstep(self, superstep: int):
-        return {"phase": ["check", "reply", "combine"][superstep]} if superstep < 3 else None
+        if superstep < len(self.phases):
+            return {"phase": self.phases[superstep]}
+        return None
 
     def compute(self, ctx, vertex: Vertex, messages):
         res = ComputeResult()
@@ -157,37 +161,25 @@ class TwoWayJoinProgram(VertexProgram):
 
 
 @dataclass
-class TwoWayMultiAttrProgram(VertexProgram):
+class TwoWayMultiAttrProgram(TwoWayJoinProgram):
     """R ⋈ S on attributes (B, A): B-attribute vertices coordinate.
 
     Tuple vertices send their secondary A values to the B vertex, which
     intersects the two sides and resumes computation only for survivors
-    (Example 4.1); then the standard collection runs.
+    (Example 4.1); then the standard collection runs. The check, reply and
+    combine phases are the single-attribute join's.
     """
 
-    r_label: str
-    s_label: str
-    r_edge: str  # R's B edge label
-    s_edge: str
     secondary: str  # the second join attribute's column name
 
-    def initial_messages(self, graph: BSPGraph):
-        return TwoWayJoinProgram.initial_messages(self, graph)  # same start
-
-    def before_superstep(self, superstep: int):
-        phases = ["check", "reply-secondary", "intersect", "reply-full", "combine"]
-        return {"phase": phases[superstep]} if superstep < len(phases) else None
+    phases = ("check", "reply-secondary", "intersect", "reply", "combine")
 
     def compute(self, ctx, vertex: Vertex, messages):
-        res = ComputeResult()
         phase = ctx["phase"]
-        if phase == "check":
-            r_targets = vertex.targets(self.r_edge)
-            s_targets = vertex.targets(self.s_edge)
-            if r_targets and s_targets:
-                for t in r_targets + s_targets:
-                    res.messages.append((t, {"src": vertex.vid}))
-        elif phase == "reply-secondary":
+        if phase not in ("reply-secondary", "intersect"):
+            return super().compute(ctx, vertex, messages)
+        res = ComputeResult()
+        if phase == "reply-secondary":
             for m in messages:
                 res.messages.append(
                     (
@@ -199,22 +191,13 @@ class TwoWayMultiAttrProgram(VertexProgram):
                         },
                     )
                 )
-        elif phase == "intersect":
+        else:  # intersect
             r_side = [m for m in messages if m["rel"] == self.r_label]
             s_side = [m for m in messages if m["rel"] == self.s_label]
             common = {m["sec"] for m in r_side} & {m["sec"] for m in s_side}
             for m in r_side + s_side:
                 if m["sec"] in common:
                     res.messages.append((m["src"], {"src": vertex.vid}))
-        elif phase == "reply-full":
-            for m in messages:
-                res.messages.append(
-                    (m["src"], {"rel": vertex.label, "row": vertex.data})
-                )
-        elif phase == "combine":
-            r_rows = [m["row"] for m in messages if m["rel"] == self.r_label]
-            s_rows = [m["row"] for m in messages if m["rel"] == self.s_label]
-            res.outputs = natural_join_rows(r_rows, s_rows)
         return res
 
 

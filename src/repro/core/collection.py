@@ -37,8 +37,10 @@ def node_frame(
     would accumulate at them by the superstep where the subtree's root sends
     to its parent.
     """
-    # The reduced relation already holds the surviving tuples' needed
-    # columns (reduction.py, ``carried_columns``): no join reads them back.
+    # The reduced relation holds the surviving tuples' needed columns and
+    # nothing else but ``__tid`` (reduction.py): no join reads them back.
+    # For a single-relation plan it is the filtered tuple table, and this
+    # select is its projection.
     df = reduced[node.name].select(
         [F.col(c).alias(qualify(node, c)) for c in _needed_columns(node)]
     )

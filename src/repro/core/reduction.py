@@ -13,11 +13,11 @@ and the top-down (DOWN) pass over its reverse.
 
 State: a tuple vertex's state is its tuple (§3), so the state of each alias
 is a *reduced relation*: ``__tid`` and the columns the query still reads of
-the surviving tuples (``carried_columns``: the alias's labels, collection's
-columns and, for a reduction-only root, its output). A pair projects the
-values it sends from the active barrier's own rows, and collection reads
-the reduced relations as they are; no step joins a tid set back to its
-tuple table.
+the surviving tuples (§7 'Projections'), which are ``_needed_columns``: the
+alias's ``need`` and its join columns. Its labels in the GenSteps list are
+among those join columns, so a pair projects the values it sends from the
+active barrier's own rows, and collection reads the reduced relations as
+they are; no step joins a tid set back to its tuple table.
 
 Reduction is *eager* (as the paper notes its vertex program is, vs classical
 Yannakakis): every semijoin intersects into the alias's reduced relation,
@@ -142,21 +142,6 @@ def _observed_count(obs: Observation, df: DataFrame) -> int:
     return row.getLong(0) if row.length() else df.count()
 
 
-def carried_columns(graph: TAGGraph, node: Node,
-                    steps: list[EdgeLabel]) -> list[str]:
-    """The attribute columns ``node``'s reduced relation keeps next to
-    ``__tid``: its labels in ``steps`` (the values its pairs project and
-    match), the columns collection reads (``_needed_columns``) and, for a
-    root with no ``need``, every column, which a reduction-only root
-    outputs."""
-    cols = {c for a, c in steps if a == node.name}
-    cols.update(_needed_columns(node))
-    if node.parent_join is None and not node.need:
-        cols.update(c for c in graph.tuples[node.relation].columns
-                    if not c.startswith("__"))
-    return sorted(cols)
-
-
 def reduce_phase(
     graph: TAGGraph,
     nodes: list[Node],
@@ -166,12 +151,13 @@ def reduce_phase(
     """Run the UP+DOWN reduction passes; returns per-alias reduced relations.
 
     An alias's reduced relation holds ``__tid`` and its
-    :func:`carried_columns`, one row per surviving tuple. An alias no pair
-    reached (the one relation of a single-relation plan) is returned as its
-    tuple table, under its pushed filter if it has one.
+    ``_needed_columns``, one row per surviving tuple. With an empty label
+    list (a single-relation plan) no pair runs and no superstep is
+    recorded: the one alias's reduced relation is its tuple table, under
+    its pushed filter if it has one. Otherwise every alias is the semijoin
+    target of a pair in one of the two passes, so each ends at a barrier.
     """
     by_alias = {n.name: n for n in nodes}
-    cols = {n.name: carried_columns(graph, n, steps) for n in nodes}
 
     def scan(alias: str) -> DataFrame:
         return graph.tuples[by_alias[alias].relation]
@@ -180,7 +166,7 @@ def reduce_phase(
         a: scan(a).where(n.filter) if n.filter else scan(a)
         for a, n in by_alias.items()
     }
-    if not steps:  # single-relation query: no traversal needed
+    if not steps:  # single-relation plan: no traversal needed
         return reduced
 
     barriers: set[str] = set()  # aliases with a pair barrier
@@ -229,7 +215,8 @@ def reduce_phase(
             # lazy checkpoint still runs jobs under AQE, and costs more.)
             # The same action fills the pair's observed counts.
             active = reduced[alias] = (
-                t.select(TID, *cols[alias]).localCheckpoint(eager=True)
+                t.select(TID, *_needed_columns(by_alias[alias]))
+                .localCheckpoint(eager=True)
             )
             barriers.add(alias)
             if stats is not None:
@@ -246,8 +233,5 @@ def reduce_phase(
             superstep += 2
 
     if stats is not None:
-        stats.reduced_sizes = {
-            a: sizes[a] if a in sizes else df.count()
-            for a, df in reduced.items()
-        }
+        stats.reduced_sizes = {a: sizes[a] for a in reduced}
     return reduced

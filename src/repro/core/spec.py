@@ -69,8 +69,9 @@ def qualify(node: Node, col: str) -> str:
 
 
 def _needed_columns(node: Node) -> list[str]:
-    """Columns of ``node``'s relation that collection reads: its ``need``
-    and its join columns with its parent and children."""
+    """Columns of ``node``'s relation that the query reads: its ``need``
+    and its join columns with its parent and children. ``node``'s reduced
+    relation keeps exactly these next to ``__tid``."""
     cols = set(node.need)
     for c in node.children:
         cols.add(c.parent_join[0])

@@ -5,8 +5,10 @@ reduction supersteps (UP+DOWN, Lemma 5.1) → collection (bottom-up joins) →
 lookup joins (decorrelated subqueries) → residual predicate → aggregation
 (LA / GA / scalar, §7).
 
-Single-relation specs take the scan path (no traversal: attribute vertices
-apply the predicate, tuple vertices aggregate — supersteps 0).
+Every spec runs this one pipeline. A single-relation spec's label list is
+empty, so its reduction is only the pushed predicate (attribute vertices
+deactivate themselves) and it runs no superstep; collection then reads the
+root's columns from the filtered tuple table.
 
 The residual ``post_filter`` covers GHD bags with more than one join
 condition, e.g. the cycle-closing predicate of TPC-H q5: the tree covers
@@ -61,30 +63,23 @@ def run_spec(
 ) -> tuple[DataFrame, RunStats]:
     """Evaluate ``spec`` with TAG-join; returns (result, run statistics).
 
-    A ``reduction_only`` spec (EXISTS / IN-subquery semijoins) skips
-    collection: the reduced root holds exactly the root tuples with join
-    partners in every subtree, each once (no collection-phase
-    multiplicities). Each lookup (a decorrelated subquery, §7) is evaluated
+    Every spec takes the same path: plan, label list, reduction, then
+    collection (``node_frame``). A ``reduction_only`` spec (EXISTS /
+    IN-subquery semijoins) skips collection: the reduced root holds exactly
+    the root tuples with join partners in every subtree, each once (no
+    collection-phase multiplicities), and its ``need`` columns are the
+    output. Each lookup (a decorrelated subquery, §7) is evaluated
     the same way, set-at-a-time for all outer tuples, and inner-joined to
     the frame before ``finalize``.
     """
     spec.validate()
     rs = RunStats() if stats else None
-    nodes = spec.nodes()
     root = spec.root
-
-    if len(nodes) == 1 and root.preagg is None:
-        # Scan path: predicate at attribute vertices, aggregate tuple data.
-        df = graph.tuples[root.relation]
-        df = _root_frame(df.where(root.filter) if root.filter else df, root)
+    reduced = reduce_phase(graph, spec.nodes(), gensteps(build_plan(root)), rs)
+    if spec.reduction_only:
+        df = _root_frame(reduced[root.name], root)
     else:
-        plan = build_plan(root)
-        steps = gensteps(plan)
-        reduced = reduce_phase(graph, nodes, steps, rs)
-        if spec.reduction_only:
-            df = _root_frame(reduced[root.name], root)
-        else:
-            df = node_frame(graph, root, reduced, rs)
+        df = node_frame(graph, root, reduced, rs)
 
     for lookup, on in spec.lookups:
         ldf, lrs = run_spec(graph, lookup, stats=stats)
@@ -97,6 +92,5 @@ def run_spec(
 
 
 def _root_frame(df: DataFrame, root: Node) -> DataFrame:
-    """The root tuples' needed columns, named as collection names them."""
-    cols = root.need or [c for c in df.columns if not c.startswith("__")]
-    return df.select([F.col(c).alias(qualify(root, c)) for c in cols])
+    """The root tuples' ``need`` columns, named as collection names them."""
+    return df.select([F.col(c).alias(qualify(root, c)) for c in root.need])

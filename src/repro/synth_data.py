@@ -6,8 +6,9 @@ DuckDB oracle sees identical input.
 
 This module ships the full TPC-H-lite schema (8 tables mirroring the key
 structure of TPC-H: PK-FK relationships, realistic value domains, but
-simplified string columns) plus uniform/Zipfian key generators. The
-TPC-DS-lite snowflake schema lives in ``repro.tpcds.synth``.
+simplified string columns), binary relations for cyclic queries and the
+Zipf sampler both schemas' skewed keys use. The TPC-DS-lite snowflake
+schema lives in ``repro.tpcds.synth``.
 """
 from __future__ import annotations
 
@@ -213,25 +214,12 @@ def tpch(spark: SparkSession, *, sf: float = 0.01) -> dict[str, DataFrame]:
     return {name: gen(spark, sf=sf) for name, gen in TPCH_TABLES.items()}
 
 
-def zipf_keys(
-    spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3
-) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
+def zipf(g: np.random.Generator, n: int, n_keys: int, alpha: float) -> np.ndarray:
+    """``n`` keys from ``1..n_keys``, key ``k`` with weight ``k**-alpha``."""
     ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(
-    spark: SparkSession, *, n: int, n_keys: int, seed: int = 4
-) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
+    w = 1.0 / ranks**alpha
+    w /= w.sum()
+    return g.choice(ranks, size=n, p=w)
 
 
 def binary_relation(
@@ -248,10 +236,7 @@ def binary_relation(
     first column so the heavy/light split is exercised."""
     g = _rng(seed)
     if skew is not None:
-        ranks = np.arange(1, n_keys + 1)
-        w = 1.0 / ranks**skew
-        w /= w.sum()
-        left = g.choice(ranks, size=n, p=w)
+        left = zipf(g, n, n_keys, skew)
     else:
         left = g.integers(1, n_keys + 1, n)
     pdf = pd.DataFrame(

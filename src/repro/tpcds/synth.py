@@ -21,6 +21,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from ..synth_data import zipf
+
 _N_STORE_SALES_PER_SF = 2_880_000
 _N_CATALOG_SALES_PER_SF = 1_440_000
 _N_WEB_SALES_PER_SF = 720_000
@@ -46,13 +48,6 @@ def _dim_n(base: int, sf: float) -> int:
 
 def _fact_n(per_sf: int, sf: float) -> int:
     return max(1, int(per_sf * sf))
-
-
-def _zipf(g: np.random.Generator, n: int, n_keys: int, alpha: float = 0.8) -> np.ndarray:
-    ranks = np.arange(1, n_keys + 1)
-    w = 1.0 / ranks**alpha
-    w /= w.sum()
-    return g.choice(ranks, size=n, p=w)
 
 
 def _with_nulls(g: np.random.Generator, values: np.ndarray, frac: float = 0.02) -> pd.Series:
@@ -153,9 +148,9 @@ def _sales_frame(
     price = (g.random(n) * 199 + 1).round(2)
     pdf = pd.DataFrame(
         {
-            f"{prefix}_sold_date_sk": _zipf(g, n, n_dates, alpha=0.3),
-            f"{prefix}_item_sk": _zipf(g, n, n_item),
-            customer_col: _zipf(g, n, n_cust),
+            f"{prefix}_sold_date_sk": zipf(g, n, n_dates, 0.3),
+            f"{prefix}_item_sk": zipf(g, n, n_item, 0.8),
+            customer_col: zipf(g, n, n_cust, 0.8),
             f"{prefix}_quantity": _with_nulls(g, qty),
             f"{prefix}_sales_price": _with_nulls(g, price),
             f"{prefix}_ext_sales_price": _with_nulls(g, (qty * price).round(2)),
@@ -169,7 +164,7 @@ def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 25) -> Dat
     g = _rng(seed)
     pdf = _sales_frame(g, n, sf, "ss", "ss_customer_sk")
     n_store = max(2, _dim_n(_N_STORE_BASE, sf))
-    pdf["ss_store_sk"] = _zipf(g, n, n_store, alpha=0.5)
+    pdf["ss_store_sk"] = zipf(g, n, n_store, 0.5)
     pdf["ss_net_profit"] = _with_nulls(g, (g.random(n) * 5000 - 1000).round(2))
     return spark.createDataFrame(pdf)
 

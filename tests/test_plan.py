@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import build_plan, gensteps, start_alias
-from repro.core.spec import Node
+from repro.core.spec import Node, _needed_columns
 
 
 def figure4_spec() -> Node:
@@ -200,3 +200,19 @@ class TestGenStepsProperties:
                 assert alias == current, "projection must leave current rel"
             else:
                 current = alias
+
+    @settings(max_examples=50, deadline=None)
+    @given(trees())
+    def test_labels_are_needed_columns_of_semijoin_targets(self, tree):
+        """The reduction's state rests on two facts: every alias is the
+        semijoin target of a pair in the UP or DOWN pass (so each alias ends
+        at a barrier), and every label ``(alias, col)`` names one of the
+        alias's ``_needed_columns`` (so the barrier keeps it)."""
+        nodes = {n.name: n for n in tree.walk()}
+        if len(nodes) != len(list(tree.walk())):
+            return
+        steps = gensteps(build_plan(tree))
+        for alias, col in steps:
+            assert col in _needed_columns(nodes[alias])
+        targets = {a for labels in (steps, steps[::-1]) for a, _ in labels[1::2]}
+        assert targets == (set(nodes) if steps else set())

@@ -7,7 +7,7 @@ import pytest
 from repro.core import tagjoin
 from repro.core.plan import build_plan, gensteps, start_alias
 from repro.core.reduction import RunStats, reduce_phase
-from repro.core.spec import Node
+from repro.core.spec import Node, _needed_columns
 from repro.core.tag import TAGGraph, TID
 from repro.tpcds.queries import QUERIES as TPCDS_QUERIES
 from repro.tpch.queries import QUERIES as TPCH_QUERIES
@@ -314,6 +314,37 @@ class TestBarriers:
             spark, lambda: reduce_phase(graph, list(spec.walk()), steps)
         )
         assert jobs == 2 * len(steps)  # len(steps) pairs over UP+DOWN
+
+
+class TestReducedColumns:
+    """A reduced relation is ``__tid`` plus its alias's ``_needed_columns``,
+    whatever the alias's place in the tree."""
+
+    @pytest.mark.parametrize("name", ["q5", "ds_q6", "ds_q69"])
+    def test_barriers_keep_only_needed_columns(self, request, monkeypatch,
+                                               name):
+        """q5, ds_q6 and ds_q69 collect over a root with an empty ``need``:
+        their root barriers keep only the root's join columns."""
+        ds = name.startswith("ds_")
+        graph = request.getfixturevalue("tpcds_graph" if ds else "tpch_graph")
+        query = (TPCDS_QUERIES if ds else TPCH_QUERIES)[name]
+        expected = []
+        real = tagjoin.reduce_phase
+
+        def capture(graph, nodes, steps, stats=None):
+            by_alias = {n.name: n for n in nodes}
+            for labels in (steps, steps[::-1]):
+                expected.extend(
+                    [TID, *_needed_columns(by_alias[alias])]
+                    for alias, _ in labels[1::2]
+                )
+            return real(graph, nodes, steps, stats)
+
+        monkeypatch.setattr(tagjoin, "reduce_phase", capture)
+        frame_cls = type(graph.tuples[query.spec.root.relation])
+        calls = _checkpoint_spy(monkeypatch, frame_cls)
+        query.run_tag(graph)
+        assert expected and [df.columns for _, df in calls] == expected
 
 
 # Adversarial instance: NULL join keys, heavily duplicated values and an

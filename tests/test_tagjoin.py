@@ -149,6 +149,22 @@ class TestRunSpec:
             df, "SELECT ak AS ak, av AS av FROM A WHERE av >= 2.0", **rels
         )
 
+    def test_single_relation_count_with_no_columns(self, abc_graph):
+        """A root with an empty ``need`` outputs no column: ``count(*)``
+        over a pushed filter reads only the filtered tuples' number."""
+        graph, rels = abc_graph
+        spec = QuerySpec(
+            name="scan_count",
+            root=Node(relation="A", filter="av >= 2.0"),
+            aggregates=[("count(*)", "cnt")],
+            agg_class="scalar",
+        )
+        df, stats = run_spec(graph, spec, stats=True)
+        assert stats.supersteps == 0
+        oracle.assert_equivalent(
+            df, "SELECT count(*) AS cnt FROM A WHERE av >= 2.0", **rels
+        )
+
     def test_stats_off_returns_empty_runstats(self, abc_graph):
         graph, _ = abc_graph
         df, stats = run_spec(graph, chain_spec(select=[("ak", "ak")]))
@@ -206,6 +222,28 @@ class TestRunReductionOnly:
             root=Node(
                 relation="B",
                 need=["bk"],
+                children=[Node(relation="A", parent_join=("bk", "ab"))],
+            ),
+            aggregates=[("count(*)", "cnt")],
+            agg_class="scalar",
+            reduction_only=True,
+        )
+        df, _ = run_spec(graph, spec)
+        oracle.assert_equivalent(
+            df,
+            "SELECT count(*) AS cnt FROM B WHERE EXISTS "
+            "(SELECT 1 FROM A WHERE ab = bk)",
+            **rels,
+        )
+
+    def test_reduction_only_count_with_no_columns(self, abc_graph):
+        """An EXISTS root with an empty ``need``: its reduced relation keeps
+        only its join column, and the output only counts its tuples."""
+        graph, rels = abc_graph
+        spec = QuerySpec(
+            name="exists_count_star",
+            root=Node(
+                relation="B",
                 children=[Node(relation="A", parent_join=("bk", "ab"))],
             ),
             aggregates=[("count(*)", "cnt")],
